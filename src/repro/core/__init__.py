@@ -42,7 +42,7 @@ from repro.core.satisfaction import (
 )
 from repro.core.configuration import Configuration
 from repro.core.optimizer import ConfigurationOptimizer, OptimizationConstraints, OptimizedChoice
-from repro.core.graph import AdaptationGraph, AdaptationGraphBuilder, Edge, Vertex
+from repro.core.graph import AdaptationGraph, AdaptationGraphBuilder, CatalogView, Edge, Vertex
 from repro.core.pruning import GraphPruner, PruningReport
 from repro.core.selection import (
     QoSPathSelector,
@@ -81,6 +81,7 @@ __all__ = [
     "OptimizedChoice",
     "AdaptationGraph",
     "AdaptationGraphBuilder",
+    "CatalogView",
     "Vertex",
     "Edge",
     "GraphPruner",

@@ -29,12 +29,35 @@ from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 from repro.core.configuration import Configuration
 from repro.errors import GraphConstructionError, UnknownServiceError
 from repro.network.placement import ServicePlacement
+from repro.network.topology import NetworkTopology
 from repro.profiles.content import ContentProfile
 from repro.profiles.device import DeviceProfile
 from repro.services.catalog import ServiceCatalog, service_sort_key
 from repro.services.descriptor import ServiceDescriptor, ServiceKind
 
-__all__ = ["Vertex", "Edge", "AdaptationGraph", "AdaptationGraphBuilder"]
+__all__ = ["Vertex", "Edge", "AdaptationGraph", "AdaptationGraphBuilder", "CatalogView"]
+
+
+@dataclass(frozen=True)
+class CatalogView:
+    """Which part of the shared world one planning call may use.
+
+    The paper builds each session's graph from "the list of available
+    trans-coding services" (Section 4.2).  A view says what *available*
+    means for one call without copying the catalog or placement:
+
+    - ``excluded`` masks service ids (crashed, quarantined, or outside a
+      forced hardware tier) out of the graph;
+    - ``topology`` replaces ``placement.topology`` as the source of node
+      resources and link bandwidth (a residual-capacity snapshot);
+      ``None`` plans against the placement's own topology.
+
+    Plan fingerprints hash both fields, so one plan cache serves every
+    view without collisions.
+    """
+
+    excluded: frozenset = frozenset()
+    topology: Optional[NetworkTopology] = None
 
 
 @dataclass(frozen=True)
@@ -315,13 +338,18 @@ class AdaptationGraphBuilder:
         sender_id: str = "sender",
         receiver_id: str = "receiver",
         context_caps: Optional[Mapping[str, float]] = None,
+        view: Optional[CatalogView] = None,
     ) -> AdaptationGraph:
         """Construct the graph for one delivery session.
 
         ``context_caps`` (from the context profile) merge into the
         receiver's rendering caps — the context can only tighten them.
+        ``view`` masks services out and may swap in a residual topology.
         """
+        excluded = view.excluded if view is not None else frozenset()
         topology = self._placement.topology
+        if view is not None and view.topology is not None:
+            topology = view.topology
         if sender_node not in topology:
             raise GraphConstructionError(f"sender node {sender_node!r} not in topology")
         if receiver_node not in topology:
@@ -353,6 +381,8 @@ class AdaptationGraphBuilder:
             Vertex(service=receiver_descriptor, node_id=receiver_node),
         ]
         for descriptor in self._catalog.transcoders():
+            if descriptor.service_id in excluded:
+                continue
             if descriptor.service_id in (sender_id, receiver_id):
                 raise GraphConstructionError(
                     f"catalog service id {descriptor.service_id!r} collides "
@@ -360,7 +390,7 @@ class AdaptationGraphBuilder:
                 )
             if not self._placement.is_placed(descriptor.service_id):
                 continue  # Unplaced services cannot carry traffic.
-            if self._check_resources and not self._host_can_run(descriptor):
+            if self._check_resources and not self._host_can_run(descriptor, topology):
                 continue
             vertices.append(
                 Vertex(
@@ -369,24 +399,25 @@ class AdaptationGraphBuilder:
                 )
             )
 
-        edges = self._connect(vertices)
+        edges = self._connect(vertices, topology)
         return AdaptationGraph(vertices, edges, sender_id, receiver_id)
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _host_can_run(self, descriptor: ServiceDescriptor) -> bool:
-        node = self._placement.topology.get_node(
-            self._placement.node_of(descriptor.service_id)
-        )
+    def _host_can_run(
+        self, descriptor: ServiceDescriptor, topology: NetworkTopology
+    ) -> bool:
+        node = topology.get_node(self._placement.node_of(descriptor.service_id))
         return (
             descriptor.cpu_required(self._reference_input_bps) <= node.cpu_mips
             and descriptor.memory_mb <= node.memory_mb
         )
 
-    def _connect(self, vertices: Sequence[Vertex]) -> List[Edge]:
+    def _connect(
+        self, vertices: Sequence[Vertex], topology: NetworkTopology
+    ) -> List[Edge]:
         """Create one edge per (producer, consumer, shared format) triple."""
-        topology = self._placement.topology
         edges: List[Edge] = []
         # Cache host-pair bandwidth: quadratic vertex pairs share few pairs.
         bandwidth_cache: Dict[Tuple[str, str], Tuple[float, float, float]] = {}

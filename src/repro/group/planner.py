@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
+from repro.core.graph import CatalogView
 from repro.errors import ValidationError
 from repro.group.request import GroupRequest
 from repro.group.tree import SharedAdaptationTree, build_shared_tree
@@ -125,20 +126,23 @@ class GroupPlanner:
             context=request.context,
         )
 
-    def fingerprint(self, request: GroupRequest) -> PlanFingerprint:
+    def fingerprint(
+        self, request: GroupRequest, view: Optional[CatalogView] = None
+    ) -> PlanFingerprint:
         """The tree-cache key: combined per-class fingerprints + stamp.
 
         Receiver order is canonicalized (sorted by class_id), so the same
         class set in any order hits the same tree.  Each member digest
-        embeds the infrastructure generations, so any catalog / topology /
-        placement / reservation change misses and recomputes.
+        embeds the infrastructure generations and the ``view``, so any
+        catalog / topology / placement / reservation change, and any
+        other view, misses and recomputes.
         """
         parts = tuple(
             (
                 receiver.class_id,
                 receiver.sessions,
                 self._batch.fingerprint(
-                    self._plan_request(request, receiver)
+                    self._plan_request(request, receiver), view
                 ).digest,
             )
             for receiver in sorted(
@@ -150,13 +154,18 @@ class GroupPlanner:
     # ------------------------------------------------------------------
     # Planning
     # ------------------------------------------------------------------
-    def _build(self, request: GroupRequest, use_cache: bool) -> GroupPlan:
+    def _build(
+        self,
+        request: GroupRequest,
+        use_cache: bool,
+        view: Optional[CatalogView] = None,
+    ) -> GroupPlan:
         results = {}
         sessions = {}
         for receiver in request.receivers:
             plan_request = self._plan_request(request, receiver)
             plan: SessionPlan = (
-                self._batch.plan(plan_request)
+                self._batch.plan(plan_request, view)
                 if use_cache
                 else self._batch.plan_uncached(plan_request)
             )
@@ -174,24 +183,27 @@ class GroupPlanner:
         memo — the honest from-zero cost of one tree."""
         return self._build(request, use_cache=False)
 
-    def plan(self, request: GroupRequest) -> GroupPlan:
+    def plan(
+        self, request: GroupRequest, view: Optional[CatalogView] = None
+    ) -> GroupPlan:
         """Plan one group through the tree cache (single-flight on miss).
 
         Misses plan each distinct class through the batch planner's
         per-session cache and shared optimize memo, then merge once.
+        ``view`` masks services out of every class's graph.
         """
-        plan, _hit = self.plan_with_cache_info(request)
+        plan, _hit = self.plan_with_cache_info(request, view)
         return plan
 
     def plan_with_cache_info(
-        self, request: GroupRequest
+        self, request: GroupRequest, view: Optional[CatalogView] = None
     ) -> Tuple[GroupPlan, bool]:
         """Like :meth:`plan`, also reporting whether the tree was cached."""
         self._tree_cache.purge_stale(self._batch.current_stamp())
-        fingerprint = self.fingerprint(request)
+        fingerprint = self.fingerprint(request, view)
         hit = fingerprint in self._tree_cache
         plan = self._tree_cache.get_or_compute(
-            fingerprint, lambda: self._build(request, use_cache=True)
+            fingerprint, lambda: self._build(request, use_cache=True, view=view)
         )
         return plan, hit
 

@@ -21,11 +21,11 @@ the reservation.
 
 from __future__ import annotations
 
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
 
+from repro.core.graph import CatalogView
 from repro.core.optimizer import OptimizeMemo
 from repro.core.parameters import ParameterSet
 from repro.core.selection import TieBreakPolicy
@@ -107,12 +107,8 @@ class BatchPlanner:
         )
         # Policy pass ahead of the selector (repro.policy).  Fast-path
         # answers live in the engine's own cache namespace; tier-forced
-        # requests plan through per-tier sub-planners built lazily below
-        # (plan fingerprints embed catalog generations that restart per
-        # catalog, so each filtered catalog needs its own PlanCache).
+        # requests plan through a view that masks the other tiers.
         self._policy_engine = policy_engine
-        self._tier_planners: Dict[str, "BatchPlanner"] = {}
-        self._tier_lock = threading.Lock()
 
     @classmethod
     def for_scenario(cls, scenario: "Scenario", **kwargs) -> "BatchPlanner":
@@ -166,7 +162,9 @@ class BatchPlanner:
             ),
         )
 
-    def fingerprint(self, request: PlanRequest) -> PlanFingerprint:
+    def fingerprint(
+        self, request: PlanRequest, view: Optional[CatalogView] = None
+    ) -> PlanFingerprint:
         return fingerprint_request(
             user=request.user,
             content=request.content,
@@ -175,6 +173,7 @@ class BatchPlanner:
             receiver_node=request.receiver_node,
             catalog=self._catalog,
             placement=self._placement,
+            view=view,
             context=request.context,
             ledger=self._ledger,
             peer=request.peer,
@@ -193,7 +192,10 @@ class BatchPlanner:
         return self._plan_fresh(request, optimize_memo=None)
 
     def _plan_fresh(
-        self, request: PlanRequest, optimize_memo: Optional[OptimizeMemo]
+        self,
+        request: PlanRequest,
+        optimize_memo: Optional[OptimizeMemo],
+        view: Optional[CatalogView] = None,
     ) -> SessionPlan:
         session = AdaptationSession(
             registry=self._registry,
@@ -210,10 +212,13 @@ class BatchPlanner:
             prune=self._prune,
             record_trace=self._record_trace,
             optimize_memo=optimize_memo,
+            view=view,
         )
         return session.plan(peer=request.peer)
 
-    def plan(self, request: PlanRequest) -> Union[SessionPlan, PolicyPlan]:
+    def plan(
+        self, request: PlanRequest, view: Optional[CatalogView] = None
+    ) -> Union[SessionPlan, PolicyPlan]:
         """Plan one session through the policy pass and the cache.
 
         Cache misses compute with the planner's shared optimize() memo, so
@@ -221,25 +226,11 @@ class BatchPlanner:
         A policy ``skip`` answers without touching the selector at all; a
         ``deny`` raises :class:`~repro.errors.PolicyDeniedError`.
         """
-        plan, _hit, _decision = self.plan_with_policy_info(request)
+        plan, _hit, _decision = self.plan_with_policy_info(request, view)
         return plan
 
-    def plan_with_cache_info(
-        self, request: PlanRequest
-    ) -> Tuple[Union[SessionPlan, PolicyPlan], bool]:
-        """Like :meth:`plan`, also reporting whether the cache already held it.
-
-        The serving gateway surfaces the hit flag per response; the
-        membership probe and the compute run under the cache's own lock
-        discipline, so the flag can only be pessimistic (a concurrent
-        leader may insert between probe and lookup), never wrong about a
-        genuine hit.
-        """
-        plan, hit, _decision = self.plan_with_policy_info(request)
-        return plan, hit
-
     def plan_with_policy_info(
-        self, request: PlanRequest
+        self, request: PlanRequest, view: Optional[CatalogView] = None
     ) -> Tuple[Union[SessionPlan, PolicyPlan], bool, Optional[PolicyDecision]]:
         """Policy-aware planning: ``(plan, cache_hit, decision)``.
 
@@ -248,8 +239,9 @@ class BatchPlanner:
         rule fired (pure selector path).  For a ``skip`` the returned
         plan is the engine's zero-hop :class:`PolicyPlan` and the hit
         flag reflects the engine's decision cache; for ``force_tier``
-        planning runs through a tier-filtered sub-planner with its own
-        plan cache.
+        the selector plans over ``view`` with every transcoder of another
+        tier masked as well.  The hit flag can only be pessimistic (a
+        concurrent leader may insert between probe and lookup).
         """
         engine = self._policy_engine
         if engine is not None:
@@ -259,54 +251,34 @@ class BatchPlanner:
             elif decision.kind == "skip":
                 return decision.plan, decision.cached, decision
             elif decision.kind == "force_tier":
-                plan, hit = self._tier_planner(decision.tier)._selector_plan(
-                    request
+                plan, hit = self._selector_plan(
+                    request, self._tier_view(decision.tier, view)
                 )
                 return plan, hit, decision
-        plan, hit = self._selector_plan(request)
+        plan, hit = self._selector_plan(request, view)
         return plan, hit, None
 
-    def _selector_plan(self, request: PlanRequest) -> Tuple[SessionPlan, bool]:
+    def _selector_plan(
+        self, request: PlanRequest, view: Optional[CatalogView]
+    ) -> Tuple[SessionPlan, bool]:
         """The raw selector path: fingerprint, cache probe, compute."""
-        fingerprint = self.fingerprint(request)
+        fingerprint = self.fingerprint(request, view)
         hit = fingerprint in self._cache
         plan = self._cache.get_or_compute(
             fingerprint,
-            lambda: self._plan_fresh(request, optimize_memo=self._optimize_memo),
+            lambda: self._plan_fresh(request, self._optimize_memo, view),
         )
         return plan, hit
 
-    def _tier_planner(self, tier: str) -> "BatchPlanner":
-        """The sub-planner whose catalog keeps only ``tier`` transcoders.
-
-        Sender/receiver pseudo-descriptors pass through untouched.  Each
-        sub-planner owns a fresh :class:`PlanCache` (fingerprints embed
-        per-catalog generation counters, so sharing the main cache would
-        mix namespaces) but shares the optimize() memo.
-        """
-        with self._tier_lock:
-            planner = self._tier_planners.get(tier)
-            if planner is None:
-                filtered = ServiceCatalog(
-                    descriptor
-                    for descriptor in self._catalog
-                    if not descriptor.is_transcoder or descriptor.tier == tier
-                )
-                planner = BatchPlanner(
-                    registry=self._registry,
-                    parameters=self._parameters,
-                    catalog=filtered,
-                    placement=self._placement,
-                    cache=PlanCache(self._cache.max_entries),
-                    ledger=self._ledger,
-                    max_workers=1,
-                    tie_break=self._tie_break,
-                    prune=self._prune,
-                    record_trace=self._record_trace,
-                    optimize_memo=self._optimize_memo,
-                )
-                self._tier_planners[tier] = planner
-            return planner
+    def _tier_view(self, tier: str, view: Optional[CatalogView]) -> CatalogView:
+        """``view`` with every transcoder outside ``tier`` masked too."""
+        view = view or CatalogView()
+        other_tiers = frozenset(
+            descriptor.service_id
+            for descriptor in self._catalog.transcoders()
+            if descriptor.tier != tier
+        )
+        return CatalogView(view.excluded | other_tiers, view.topology)
 
     # ------------------------------------------------------------------
     # Batch planning

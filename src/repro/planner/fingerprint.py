@@ -9,7 +9,9 @@ construction → pruning → selection) consumes for one session:
   tie-break policy, pruning, trace recording);
 - the *shared infrastructure state* via content keys plus monotonic
   generation counters of the service catalog, the topology, the placement,
-  and (when planning against reserved capacity) the bandwidth ledger.
+  and (when planning against reserved capacity) the bandwidth ledger;
+- the per-call :class:`~repro.core.graph.CatalogView`, if any: its masked
+  service ids and the content of its residual topology.
 
 Two requests with equal fingerprints are guaranteed to produce identical
 plans, because planning is deterministic in exactly these inputs.  Any
@@ -31,6 +33,7 @@ import weakref
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
+from repro.core.graph import CatalogView
 from repro.core.selection import TieBreakPolicy
 from repro.network.placement import ServicePlacement
 from repro.network.reservations import BandwidthLedger
@@ -140,7 +143,7 @@ def fingerprint_request(
     receiver_node: str,
     catalog: ServiceCatalog,
     placement: ServicePlacement,
-    topology: Optional[NetworkTopology] = None,
+    view: Optional[CatalogView] = None,
     context: Optional[ContextProfile] = None,
     ledger: Optional[BandwidthLedger] = None,
     peer: Optional[str] = None,
@@ -150,16 +153,18 @@ def fingerprint_request(
 ) -> PlanFingerprint:
     """Fingerprint one planning request against the current world state.
 
-    ``topology`` defaults to ``placement.topology``.  Pass the ``ledger``
-    whenever planning runs against residual capacity (admission control):
-    its generation then participates in the key, so any reserve / release
-    forces a recompute.
+    Pass the ``ledger`` whenever planning runs against residual capacity
+    (admission control): its generation then participates in the key, so
+    any reserve / release forces a recompute.  A ``view`` adds its masked
+    service ids to the key, and its topology's content replaces the
+    placement topology's (planning reads only the view's); the generation
+    stamp stays that of the shared objects, so
+    :meth:`~repro.planner.cache.PlanCache.purge_stale` treats every view's
+    entries alike.
     """
-    if topology is None:
-        topology = placement.topology
     stamp = GenerationStamp(
         catalog=catalog.generation,
-        topology=topology.generation,
+        topology=placement.topology.generation,
         placement=placement.generation,
         reservations=ledger.generation if ledger is not None else 0,
     )
@@ -175,10 +180,16 @@ def fingerprint_request(
         prune,
         record_trace,
         _catalog_key(catalog),
-        _topology_key(topology),
+        _topology_key(
+            view.topology
+            if view is not None and view.topology is not None
+            else placement.topology
+        ),
         _placement_key(placement),
         stamp,
     )
+    if view is not None and view.excluded:
+        key += (tuple(sorted(view.excluded)),)
     digest = hashlib.sha256(repr(key).encode("utf-8")).hexdigest()
     return PlanFingerprint(digest=digest, generations=stamp)
 

@@ -18,7 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.core.graph import AdaptationGraph, AdaptationGraphBuilder
+from repro.core.graph import (
+    AdaptationGraph,
+    AdaptationGraphBuilder,
+    CatalogView,
+)
 from repro.core.parameters import ParameterSet
 from repro.core.pruning import GraphPruner, PruningReport
 from repro.core.selection import (
@@ -80,6 +84,7 @@ class AdaptationSession:
         prune: bool = True,
         record_trace: bool = True,
         optimize_memo=None,
+        view: Optional[CatalogView] = None,
     ) -> None:
         self._registry = registry
         self._parameters = parameters
@@ -97,6 +102,8 @@ class AdaptationSession:
         #: Optional shared :class:`~repro.core.optimizer.OptimizeMemo`;
         #: lets a batch planner reuse solved relaxations across sessions.
         self._optimize_memo = optimize_memo
+        #: Optional :class:`~repro.core.graph.CatalogView` to plan through.
+        self._view = view
 
     # ------------------------------------------------------------------
     # Planning
@@ -127,6 +134,7 @@ class AdaptationSession:
             receiver_node=self._receiver_node,
             catalog=self._catalog,
             placement=self._placement,
+            view=self._view,
             context=self._context,
             ledger=ledger,
             peer=peer,
@@ -146,6 +154,7 @@ class AdaptationSession:
             context_caps=(
                 self._context.parameter_caps() if self._context is not None else None
             ),
+            view=self._view,
         )
         if self._prune:
             graph, report = GraphPruner().prune(graph)

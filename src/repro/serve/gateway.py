@@ -28,9 +28,8 @@ import asyncio
 import signal
 import socket
 import threading
-import weakref
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Optional, Set, Tuple
 
 from repro.errors import (
@@ -39,8 +38,8 @@ from repro.errors import (
     PolicyDeniedError,
     ReproError,
 )
+from repro.core.graph import CatalogView
 from repro.group import GroupPlanner, GroupRequest
-from repro.network.placement import ServicePlacement
 from repro.planner.batch import BatchPlanner, PlanRequest
 from repro.planner.cache import PlanCache
 from repro.policy.document import PolicyDocument
@@ -68,7 +67,6 @@ from repro.serve.protocol import (
     plan_response_payload,
     policy_skip_payload,
 )
-from repro.services.catalog import ServiceCatalog
 from repro.serve.sharding import (
     SHARD_HINT_HEADER,
     WORKER_ID_HEADER,
@@ -134,7 +132,7 @@ class GatewayConfig:
     #: When set, enables the per-service failure detector and circuit
     #: breakers (:mod:`repro.serve.health`): ``POST /report`` feeds
     #: outcomes, OPEN services are masked from planning through a
-    #: quarantine overlay, and infeasibility caused by quarantine (or a
+    #: quarantine view, and infeasibility caused by quarantine (or a
     #: nearly spent deadline) answers a degraded passthrough instead of
     #: an error.  ``None`` keeps the classic fail-open behavior.
     health: Optional[HealthConfig] = None
@@ -150,6 +148,8 @@ class _GatewayState:
 
     scenario: Scenario
     planner: BatchPlanner
+    #: Group planner over ``planner``; its tree cache dies with the state.
+    group: GroupPlanner
     generation: int
 
 
@@ -173,7 +173,10 @@ def _new_state(
         scenario, cache=cache, record_trace=False, policy_engine=policy_engine
     )
     return _GatewayState(
-        scenario=scenario, planner=planner, generation=generation
+        scenario=scenario,
+        planner=planner,
+        group=GroupPlanner(planner),
+        generation=generation,
     )
 
 
@@ -233,10 +236,9 @@ class PlanningGateway:
         # the planning thread — hence the lock.
         self._executor_lock = threading.Lock()
         self._executor_outstanding = 0
-        # Service health: breakers feed the quarantine overlay.  The
-        # overlay planner is a single-entry cache keyed on (generation,
-        # quarantine set); a quarantine change flushes the base plan
-        # cache so stale plans die with the breaker trip.
+        # Service health: breakers feed the quarantine view; a quarantine
+        # change flushes the plan cache so stale plans die with the
+        # breaker trip.
         self._health: Optional[HealthRegistry] = (
             HealthRegistry(
                 self._config.health, on_transition=self._on_breaker_transition
@@ -245,13 +247,6 @@ class PlanningGateway:
             else None
         )
         self._active_quarantine: frozenset = frozenset()
-        self._overlay: Optional[Tuple[Any, BatchPlanner]] = None
-        # One GroupPlanner (and thus one tree cache) per live BatchPlanner:
-        # the base planner and every quarantine overlay each get their own,
-        # and dropping a planner (swap, quarantine change) drops its trees.
-        self._group_planners: (
-            "weakref.WeakKeyDictionary[BatchPlanner, GroupPlanner]"
-        ) = weakref.WeakKeyDictionary()
         #: Cluster hook: a worker process forwards local breaker
         #: transitions to its supervisor through this callable.
         self.on_health_transition: Optional[Any] = None
@@ -359,62 +354,20 @@ class PlanningGateway:
         document.update(self._health.snapshot(self._health_now()))
         return document
 
-    def _quarantine_planner(self, state: _GatewayState) -> BatchPlanner:
-        """The planner to serve with, masking OPEN services.
+    def _quarantine_view(self) -> Optional[CatalogView]:
+        """The view that masks OPEN services (``None`` when none are).
 
-        Tracks the quarantine set: any change flushes the base plan
-        cache (stale plans must die with the breaker trip) and drops the
-        overlay.  With an empty quarantine the base planner serves as
-        before; otherwise a filtered catalog/placement overlay planner
-        is built once per (generation, quarantine set) — with its *own*
-        plan cache, because fingerprints embed generation counters that
-        restart per freshly built catalog and must never collide across
-        overlays.
+        Tracks the quarantine set: any change flushes the plan cache, so
+        a plan computed before a breaker tripped is never served after
+        it.  Policy still applies under quarantine: a zero-hop skip needs
+        no services, and a forced tier masks whatever the view leaves.
         """
-        quarantined = (
-            self._health.quarantined(self._health_now())
-            if self._health is not None
-            else frozenset()
-        )
+        quarantined = self._health.quarantined(self._health_now())
         if quarantined != self._active_quarantine:
             self._active_quarantine = quarantined
-            self._overlay = None
             self._cache.clear()
             self._metrics.bump("quarantine_rebuilds")
-        if not quarantined:
-            return state.planner
-        key = (state.generation, quarantined)
-        if self._overlay is not None and self._overlay[0] == key:
-            return self._overlay[1]
-        scenario = state.scenario
-        alive = [
-            descriptor
-            for descriptor in scenario.catalog
-            if descriptor.service_id not in quarantined
-        ]
-        catalog = ServiceCatalog(alive)
-        mapping = {
-            service_id: node_id
-            for service_id, node_id in scenario.placement.as_dict().items()
-            if service_id in catalog
-        }
-        placement = ServicePlacement(scenario.placement.topology, mapping)
-        planner = BatchPlanner(
-            registry=scenario.registry,
-            parameters=scenario.parameters,
-            catalog=catalog,
-            placement=placement,
-            cache=PlanCache(max_entries=self._config.cache_size),
-            max_workers=1,
-            record_trace=False,
-            optimize_memo=state.planner.optimize_memo,
-            # Policy still applies under quarantine: a zero-hop skip
-            # needs no services, and a forced tier filters whatever
-            # catalog survives the mask.
-            policy_engine=self._policy,
-        )
-        self._overlay = (key, planner)
-        return planner
+        return CatalogView(excluded=quarantined) if quarantined else None
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -580,7 +533,6 @@ class PlanningGateway:
             generation=self._state.generation + 1,
             policy_engine=self._policy,
         )
-        self._overlay = None
         invalidated = self._cache.clear()
         # The active policy follows the active scenario: a full swap
         # installs the new scenario's policy (possibly none), replacing
@@ -991,41 +943,19 @@ class PlanningGateway:
             finally:
                 self._inflight -= 1
 
-    def _run_plan(self, planner: BatchPlanner, plan_request: PlanRequest):
-        """Runs in a planning thread; pairs the increment in :meth:`_plan_one`.
+    def _run_planning(self, plan_call, request, view: Optional[CatalogView]):
+        """Runs ``plan_call(request, view)`` in a planning thread; pairs the
+        increment in :meth:`_plan_one` and :meth:`_plan_group_one`.
 
         The decrement lives here (not on the awaiting side) because a
         deadline timeout abandons the await while this thread keeps
         running — the job is outstanding until the thread actually ends.
         """
         try:
-            return planner.plan_with_policy_info(plan_request)
+            return plan_call(request, view)
         finally:
             with self._executor_lock:
                 self._executor_outstanding -= 1
-
-    def _run_group_plan(
-        self, planner: GroupPlanner, group_request: GroupRequest
-    ):
-        """Group twin of :meth:`_run_plan`; same outstanding accounting."""
-        try:
-            return planner.plan_with_cache_info(group_request)
-        finally:
-            with self._executor_lock:
-                self._executor_outstanding -= 1
-
-    def _group_planner_for(self, planner: BatchPlanner) -> GroupPlanner:
-        """The tree-cache-owning group planner bound to ``planner``.
-
-        Keyed weakly on the batch planner itself so quarantine overlays
-        (fresh planner per quarantine set) and hot swaps each get their
-        own tree cache, and retired planners take their trees with them.
-        """
-        group = self._group_planners.get(planner)
-        if group is None:
-            group = GroupPlanner(planner)
-            self._group_planners[planner] = group
-        return group
 
     def _to_group_request(
         self, state: _GatewayState, envelope: GroupPlanEnvelope
@@ -1090,11 +1020,10 @@ class PlanningGateway:
                 item, state, "deadline budget nearly spent", queue_ms
             )
             return
-        planner = self._quarantine_planner(state) if health_on else state.planner
-        quarantined = self._active_quarantine if health_on else frozenset()
+        view = self._quarantine_view() if health_on else None
         if is_group:
             await self._plan_group_one(
-                loop, item, deadline, queue_ms, state, planner
+                loop, item, deadline, queue_ms, state, view
             )
             return
         plan_request = self._to_plan_request(state, item.envelope)
@@ -1124,9 +1053,10 @@ class PlanningGateway:
             plan, cache_hit, decision = await asyncio.wait_for(
                 loop.run_in_executor(
                     self._executor,
-                    self._run_plan,
-                    planner,
+                    self._run_planning,
+                    state.planner.plan_with_policy_info,
                     plan_request,
+                    view,
                 ),
                 timeout=deadline - started,
             )
@@ -1158,7 +1088,7 @@ class PlanningGateway:
             )
             return
         except ReproError:
-            if quarantined:
+            if view is not None:
                 # The masked catalog is what broke planning; that is a
                 # quality event, not a client error.
                 self._resolve_degraded(
@@ -1195,7 +1125,7 @@ class PlanningGateway:
                 ),
             )
             return
-        if not plan.success and quarantined:
+        if not plan.success and view is not None:
             # Feasible at full quality before the breaker trip, not
             # under quarantine: degrade rather than answer infeasible.
             self._resolve_degraded(
@@ -1231,19 +1161,18 @@ class PlanningGateway:
         deadline: float,
         queue_ms: float,
         state: _GatewayState,
-        planner: BatchPlanner,
+        view: Optional[CatalogView],
     ) -> None:
         """Plan one ``/plan-group`` request on a planning thread.
 
-        Quarantine still applies — the group planner sits on whatever
-        planner :meth:`_quarantine_planner` chose — but group answers are
+        Quarantine still applies — every class plans over the quarantine
+        ``view`` — but group answers are
         never degraded: classes the (possibly masked) catalog cannot
         serve surface as per-class fallbacks inside a 200, a planning
         overrun is an honest 504, and a planner-level failure is a typed
         422 like any other unplannable request.
         """
         group_request = self._to_group_request(state, item.envelope)
-        group_planner = self._group_planner_for(planner)
         with self._executor_lock:
             saturated = self._executor_outstanding >= self._config.workers
             if not saturated:
@@ -1266,9 +1195,10 @@ class PlanningGateway:
             plan, cache_hit = await asyncio.wait_for(
                 loop.run_in_executor(
                     self._executor,
-                    self._run_group_plan,
-                    group_planner,
+                    self._run_planning,
+                    state.group.plan_with_cache_info,
                     group_request,
+                    view,
                 ),
                 timeout=deadline - started,
             )

@@ -58,8 +58,8 @@ class SimulationConfig:
     admission_floor: float = 0.0
     faults: Tuple[FaultInjector, ...] = ()
     #: Attach a per-service failure detector + circuit breaker registry;
-    #: quarantined (OPEN) services drop out of the snapshot planner's
-    #: catalog until HALF_OPEN probes recover them.
+    #: quarantined (OPEN) services are masked out of the planning view
+    #: until HALF_OPEN probes recover them.
     health: Optional[HealthConfig] = None
     #: Hard virtual-time stop; ``None`` runs until the event heap drains.
     horizon_s: Optional[float] = None

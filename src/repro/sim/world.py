@@ -14,13 +14,14 @@ A :class:`SimWorld` owns everything the concurrent sessions contend over:
   relaxations exactly as a :class:`~repro.planner.batch.BatchPlanner`
   batch would.
 
-Planning goes through the existing planner stack: the world snapshots an
-*effective residual* topology (base capacity x fault factor, minus
-reservations), filters crashed services out of the catalog, and hands the
-snapshot to a :class:`BatchPlanner`.  Snapshots are cached per
-``(fault generation, ledger generation)`` pair, so a burst of arrivals
-against unchanged state shares one planner — and its plan cache — while
-any fault or reservation invalidates it.
+Planning goes through one :class:`BatchPlanner` over the base scenario
+for the whole run.  Each call carries a
+:class:`~repro.core.graph.CatalogView`: the *effective residual* topology
+(base capacity x fault factor, minus reservations) plus the crashed and
+quarantined services to mask.  The view is rebuilt only when the fault,
+ledger or health generation (or the quarantine set) moves, and each
+rebuild clears the plan cache, so a burst of arrivals against unchanged
+state shares cached plans while plans for a past snapshot never linger.
 """
 
 from __future__ import annotations
@@ -29,10 +30,10 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.core.graph import CatalogView
 from repro.core.optimizer import OptimizeMemo
 from repro.core.parameters import FRAME_RATE
 from repro.errors import ReproError, ValidationError
-from repro.network.placement import ServicePlacement
 from repro.network.reservations import BandwidthLedger, Reservation
 from repro.network.topology import Link, NetworkTopology
 from repro.planner.batch import BatchPlanner, PlanRequest
@@ -40,7 +41,6 @@ from repro.planner.cache import PlanCache
 from repro.policy.engine import PolicyEngine
 from repro.runtime.session import SessionPlan
 from repro.serve.health import HealthRegistry
-from repro.services.catalog import ServiceCatalog
 from repro.workloads.scenario import Scenario
 
 __all__ = ["HopLease", "SimWorld"]
@@ -83,10 +83,9 @@ class SimWorld:
         self._down_nodes: Set[str] = set()
         self._down_services: Set[str] = set()
         self._memo = optimize_memo if optimize_memo is not None else OptimizeMemo()
-        self._plan_cache_size = plan_cache_size
         self._generation = 0
-        self._planner: Optional[BatchPlanner] = None
-        self._planner_key: Optional[Tuple[int, int, int, frozenset]] = None
+        self._view: Optional[CatalogView] = None
+        self._view_key: Optional[Tuple[int, int, int, frozenset]] = None
         # Gray-failure overlay: services that silently drop a fraction of
         # attempts without touching the fault generation — only a health
         # registry (if attached) can learn about them through outcomes.
@@ -101,6 +100,14 @@ class SimWorld:
             PolicyEngine(scenario.policy)
             if scenario.policy is not None
             else None
+        )
+        self._planner = BatchPlanner.for_scenario(
+            scenario,
+            cache=PlanCache(max_entries=plan_cache_size),
+            max_workers=1,
+            record_trace=False,
+            optimize_memo=self._memo,
+            policy_engine=self._policy_engine,
         )
 
     @property
@@ -286,14 +293,13 @@ class SimWorld:
             )
         return snapshot
 
-    def _snapshot_planner(self) -> BatchPlanner:
-        """The planner for the current (fault, ledger) generation pair.
+    def _snapshot_view(self) -> CatalogView:
+        """The view for the current (fault, ledger, health) state.
 
-        Rebuilt lazily whenever either generation moves; the shared
-        optimize memo carries solved relaxations across rebuilds, and each
-        snapshot gets its *own* plan cache (fingerprints embed generation
-        counters of the snapshot objects, which restart per snapshot, so a
-        cache must never outlive its snapshot).
+        Rebuilt lazily whenever a generation or the quarantine set moves;
+        a rebuild clears the plan cache, because no plan of the previous
+        snapshot can hit again.  The shared optimize memo carries solved
+        relaxations across rebuilds.
         """
         quarantined: frozenset = frozenset()
         health_generation = 0
@@ -306,35 +312,19 @@ class SimWorld:
             health_generation,
             quarantined,
         )
-        if self._planner is not None and self._planner_key == key:
-            return self._planner
-        topology = self.effective_topology()
-        alive = [
-            descriptor
-            for descriptor in self.scenario.catalog
-            if not self.service_is_down(descriptor.service_id)
-            and descriptor.service_id not in quarantined
-        ]
-        catalog = ServiceCatalog(alive)
-        mapping = {
-            service_id: node_id
-            for service_id, node_id in self.scenario.placement.as_dict().items()
-            if service_id in catalog
-        }
-        placement = ServicePlacement(topology, mapping)
-        self._planner = BatchPlanner(
-            registry=self.scenario.registry,
-            parameters=self.scenario.parameters,
-            catalog=catalog,
-            placement=placement,
-            cache=PlanCache(max_entries=self._plan_cache_size),
-            max_workers=1,
-            record_trace=False,
-            optimize_memo=self._memo,
-            policy_engine=self._policy_engine,
-        )
-        self._planner_key = key
-        return self._planner
+        if self._view_key != key:
+            self._view = CatalogView(
+                excluded=frozenset(
+                    descriptor.service_id
+                    for descriptor in self.scenario.catalog
+                    if self.service_is_down(descriptor.service_id)
+                )
+                | quarantined,
+                topology=self.effective_topology(),
+            )
+            self._view_key = key
+            self._planner.cache.clear()
+        return self._view
 
     def plan(self, request: PlanRequest) -> Optional[SessionPlan]:
         """Plan one session against the current effective residual state.
@@ -346,7 +336,7 @@ class SimWorld:
         mid-simulation.
         """
         try:
-            plan = self._snapshot_planner().plan(request)
+            plan = self._planner.plan(request, self._snapshot_view())
         except ReproError:
             return None
         if not plan.success:

@@ -6,16 +6,30 @@ The cache's contract, checked over generated scenarios and mutations:
   path, formats, configuration, satisfaction, cost);
 - with no intervening mutation, the second call is a hit (same object);
 - *any* catalog / topology / placement / ledger mutation between two
-  calls changes the fingerprint and forces a recompute.
+  calls changes the fingerprint and forces a recompute;
+- planning through a :class:`~repro.core.graph.CatalogView` (masked
+  services, a forced tier, a residual topology) gives the same plan as a
+  planner over a physically filtered catalog and placement, and view
+  fingerprints are equal exactly when the views are.
 """
 
 from __future__ import annotations
 
+import dataclasses
+
 from hypothesis import given, settings, strategies as st
 
+from repro.core.graph import CatalogView
+from repro.errors import ReproError
+from repro.network.placement import ServicePlacement
 from repro.network.reservations import BandwidthLedger
+from repro.network.topology import NetworkTopology
 from repro.planner import BatchPlanner, PlanCache, PlanRequest
+from repro.policy import PolicyDocument, PolicyEngine, PolicyRule
+from repro.services.catalog import ServiceCatalog
 from repro.services.descriptor import ServiceDescriptor
+from repro.workloads.intro import html_to_wml_scenario, jpeg_to_gif_scenario
+from repro.workloads.paper import figure6_scenario
 from repro.workloads.synthetic import SyntheticConfig, generate_scenario
 
 MUTATIONS = [
@@ -129,3 +143,143 @@ def test_mutation_between_calls_forces_recompute(seed, mutation):
         # The recomputed plan still matches a from-scratch run of the
         # mutated world.
         assert _plan_fields(second) == _plan_fields(planner.plan_uncached(request))
+
+
+# ----------------------------------------------------------------------
+# Catalog views: masking through ``view=`` equals planning over a copy
+# ----------------------------------------------------------------------
+_VIEW_SCENARIOS = {
+    "figure6": figure6_scenario,
+    "jpeg-to-gif": lambda: jpeg_to_gif_scenario(include_monolith=True),
+    "html-to-wml": html_to_wml_scenario,
+    **{
+        f"synthetic-{seed}": (
+            lambda seed=seed: generate_scenario(
+                SyntheticConfig(
+                    seed=seed,
+                    n_services=12,
+                    n_formats=6,
+                    n_nodes=6,
+                    hw_tier_fraction=0.5,
+                )
+            )
+        )
+        for seed in range(4)
+    },
+}
+_BUILT = {}
+
+
+def _view_scenario(name):
+    if name not in _BUILT:
+        _BUILT[name] = _VIEW_SCENARIOS[name]()
+    return _BUILT[name]
+
+
+def _scaled_topology(topology, factor):
+    """A copy of ``topology`` with every link's bandwidth scaled."""
+    if factor is None:
+        return None
+    copy = NetworkTopology()
+    for node in topology.nodes():
+        copy.add_node(node)
+    for link in topology.links():
+        copy.add_link(
+            dataclasses.replace(link, bandwidth_bps=link.bandwidth_bps * factor)
+        )
+    return copy
+
+
+def _force_tier(tier):
+    if tier is None:
+        return None
+    return PolicyEngine(
+        PolicyDocument(
+            name="pin",
+            rules=(PolicyRule(rule_id="pin", action="force_tier", tier=tier),),
+        )
+    )
+
+
+def _reference_planner(scenario, excluded, tier, topology):
+    """The pre-view construction: a planner over a filtered copy."""
+    catalog = ServiceCatalog(
+        descriptor
+        for descriptor in scenario.catalog
+        if descriptor.service_id not in excluded
+        and (tier is None or not descriptor.is_transcoder or descriptor.tier == tier)
+    )
+    mapping = {
+        service_id: node_id
+        for service_id, node_id in scenario.placement.as_dict().items()
+        if service_id in catalog
+    }
+    placement = ServicePlacement(
+        topology if topology is not None else scenario.placement.topology,
+        mapping,
+    )
+    return BatchPlanner(
+        registry=scenario.registry,
+        parameters=scenario.parameters,
+        catalog=catalog,
+        placement=placement,
+        cache=PlanCache(),
+    )
+
+
+def _outcome(plan_call):
+    try:
+        return _plan_fields(plan_call())
+    except ReproError as exc:
+        return ("error", type(exc).__name__)
+
+
+@given(
+    name=st.sampled_from(sorted(_VIEW_SCENARIOS)),
+    tier=st.sampled_from([None, "sw", "hw"]),
+    factor=st.sampled_from([None, 1.0, 0.3, 0.01]),
+    data=st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_view_plans_equal_filtered_catalog_plans(name, tier, factor, data):
+    scenario = _view_scenario(name)
+    excluded = frozenset(data.draw(st.sets(st.sampled_from(scenario.catalog.ids()))))
+    topology = _scaled_topology(scenario.topology, factor)
+    view = CatalogView(excluded=excluded, topology=topology)
+    planner = BatchPlanner.for_scenario(
+        scenario, cache=PlanCache(), policy_engine=_force_tier(tier)
+    )
+    reference = _reference_planner(scenario, excluded, tier, topology)
+    request = _request(scenario)
+
+    viewed = _outcome(lambda: planner.plan(request, view))
+    assert viewed == _outcome(lambda: reference.plan(request))
+    # A second call is served from the one shared cache, unchanged.
+    assert _outcome(lambda: planner.plan(request, view)) == viewed
+
+
+@given(
+    name=st.sampled_from(sorted(_VIEW_SCENARIOS)),
+    factors=st.tuples(
+        st.sampled_from([None, 0.5, 0.25]), st.sampled_from([None, 0.5, 0.25])
+    ),
+    data=st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_view_fingerprints_separate_exactly_the_unequal_views(name, factors, data):
+    scenario = _view_scenario(name)
+    ids = st.sampled_from(scenario.catalog.ids())
+    masks = (frozenset(data.draw(st.sets(ids))), frozenset(data.draw(st.sets(ids))))
+    # Equal factors build equal-content topologies from distinct objects.
+    views = [
+        CatalogView(excluded=mask, topology=_scaled_topology(scenario.topology, f))
+        for mask, f in zip(masks, factors)
+    ]
+    planner = BatchPlanner.for_scenario(scenario, cache=PlanCache())
+    request = _request(scenario)
+    same = masks[0] == masks[1] and factors[0] == factors[1]
+    first, second = (planner.fingerprint(request, view) for view in views)
+    assert (first == second) == same
+    if not masks[0] and factors[0] is None:
+        # The identity view keys exactly like no view at all.
+        assert first == planner.fingerprint(request)

@@ -16,6 +16,10 @@ import json
 import pytest
 
 from repro.errors import ValidationError
+from repro.planner import device_variants
+from repro.policy import DeviceIn, PolicyDocument, PolicyRule
+from repro.profiles.device import DeviceProfile
+from repro.profiles.serialization import profile_to_dict
 from repro.serve import (
     GatewayConfig,
     HealthConfig,
@@ -380,3 +384,106 @@ class TestLoadgenRetries:
         assert document["exhausted"] == retrying.exhausted
         summary = retrying.summary()
         assert "retried" in summary
+
+
+def _tiered_scenario():
+    """Hardware tiers plus a ``force_tier hw`` rule for one device class."""
+    scenario = generate_scenario(
+        SyntheticConfig(seed=7, n_services=12, n_formats=8, n_nodes=8,
+                        hw_tier_fraction=0.5)
+    )
+    scenario.policy = PolicyDocument(
+        name="pin-hw",
+        rules=(
+            PolicyRule(rule_id="pinned", action="force_tier", tier="hw",
+                       predicates=(DeviceIn(("pinned-device",)),)),
+        ),
+    )
+    device = scenario.device
+    pinned = DeviceProfile(
+        device_id="pinned-device",
+        decoders=list(device.decoders),
+        max_resolution=device.max_resolution,
+        max_color_depth=device.max_color_depth,
+        max_frame_rate=device.max_frame_rate,
+    )
+    return scenario, pinned
+
+
+class TestQuarantineAcrossAnswerKinds:
+    """Tier-forced and group answers also plan around OPEN services and
+    never reuse an answer cached before the breaker tripped."""
+
+    def test_forced_tier_and_group_answers_mask_the_quarantine(self):
+        scenario, pinned = _tiered_scenario()
+        plan_body = {"device": profile_to_dict(pinned), "deadline_ms": 2000}
+        group_body = {
+            "receivers": [
+                {"class_id": "pinned", "device": profile_to_dict(pinned)}
+            ] + [
+                {"class_id": f"class-{i}", "device": profile_to_dict(variant)}
+                for i, variant in enumerate(device_variants(scenario.device, 2))
+            ],
+            "deadline_ms": 5000,
+        }
+
+        async def run():
+            gateway = PlanningGateway(scenario, gateway_config())
+            await gateway.start()
+            try:
+                port = gateway.port
+                before = [
+                    (await request(port, "POST", "/plan", plan_body))[1]
+                    for _ in range(2)
+                ]
+                group_before = [
+                    (await request(port, "POST", "/plan-group", group_body))[1]
+                    for _ in range(2)
+                ]
+                victim = next(
+                    sid for sid in before[0]["path"]
+                    if sid not in ("sender", "receiver")
+                )
+                await report(port, failures(victim))
+                health = (await request(port, "GET", "/health"))[1]
+                after = [
+                    (await request(port, "POST", "/plan", plan_body))[1]
+                    for _ in range(2)
+                ]
+                group_after = [
+                    (await request(port, "POST", "/plan-group", group_body))[1]
+                    for _ in range(2)
+                ]
+                return victim, health, before, group_before, after, group_after
+            finally:
+                await gateway.drain()
+
+        victim, health, before, group_before, after, group_after = asyncio.run(
+            run()
+        )
+        # Before the trip: the forced-tier answer and the tree both route
+        # through the victim, and both are cached.
+        assert before[0]["forced_tier"] == "hw"
+        assert scenario.catalog.get(victim).tier == "hw"
+        assert [p["cache_hit"] for p in before] == [False, True]
+        assert any(victim in b["path"] for b in group_before[0]["branches"])
+        assert [g["cache_hit"] for g in group_before] == [False, True]
+        assert health["open"] == [victim]
+        # After the trip: neither answer uses the OPEN service, and
+        # neither comes from the pre-trip cache.
+        for payload in after:
+            assert victim not in payload["path"]
+            assert payload["status"] in ("ok", "degraded")
+        assert after[0]["cache_hit"] is False
+        if after[0]["status"] == "ok":
+            assert after[0]["forced_tier"] == "hw"
+            assert after[1]["cache_hit"] is True
+        for payload in group_after:
+            for branch in payload["branches"]:
+                assert victim not in branch["path"]
+        assert group_after[0]["cache_hit"] is False
+        assert group_after[1]["cache_hit"] is True
+        assert (
+            group_after[0]["tree"]["digest"]
+            != group_before[0]["tree"]["digest"]
+        )

@@ -96,6 +96,32 @@ class TestDeterminism:
         assert with_faults.trace_digest != without.trace_digest
 
 
+#: Trace digests of every campaign at ``seed=7, sessions=40``.  At this
+#: size the runs exercise all three planning masks: crashed services in
+#: ``failover-storm``, breaker quarantine in ``gray-failure`` and
+#: ``force_tier`` rules in ``policy-mix``.  Any change to how planning
+#: masks the catalog must leave every digest bit-identical.
+PINNED_CAMPAIGN_DIGESTS = {
+    "steady": "d2c6df4653661441db3d59a4e4bc183136072f02781edb836f64d8e59b874f09",
+    "flash-crowd": "d092f00afa8c4eff7db4391bc9b380f7efb397e58446ec13b1557ab37ea4df98",
+    "failover-storm": "73c1681f23426b9d96bfd70cf23dd9fccb4e14deac047deb4adb770818d8deeb",
+    "link-churn": "5bdceebfe7fbec99e221aaed56791ae433bfd1ffaae5de717e9477946250f659",
+    "gray-failure": "e4432eff77a272df7076751f0e183e5260159af50b7484fbd5e6332d4ae065e8",
+    "live-event": "ea4a6e2bde8c37316edb4bb1e0d5c0db6c90a72a5d30668c969ed19065287e21",
+    "policy-mix": "af78c4987e72992c4954ec46f53369775f44832a790181b45a4fcb2d7b4e9c91",
+}
+
+
+def test_pinned_campaign_digests_cover_every_scenario():
+    assert sorted(PINNED_CAMPAIGN_DIGESTS) == sorted(scenario_names())
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_CAMPAIGN_DIGESTS))
+def test_campaign_digest_pinned(name):
+    report = run_simulation(build_scenario(name, seed=7, sessions=40))
+    assert report.trace_digest == PINNED_CAMPAIGN_DIGESTS[name]
+
+
 class TestSteadyState:
     def test_uncontended_sessions_complete(self, small_scenario):
         report = run_simulation(small_config(small_scenario, sessions=6))
