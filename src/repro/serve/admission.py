@@ -20,7 +20,8 @@ callable) so tests drive them deterministically without sleeping.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Dict, List, Optional, Tuple
+from collections import OrderedDict
+from typing import Any, List, Optional, Tuple
 
 import asyncio
 
@@ -94,8 +95,8 @@ class RateLimiter:
         self._rate = rate_per_s
         self._burst = burst
         self._max_clients = max_clients
-        self._buckets: Dict[str, TokenBucket] = {}
-        self._last_seen: Dict[str, float] = {}
+        #: Buckets in least-recently-seen-first order.
+        self._buckets: "OrderedDict[str, TokenBucket]" = OrderedDict()
 
     @property
     def enabled(self) -> bool:
@@ -108,12 +109,11 @@ class RateLimiter:
         bucket = self._buckets.get(client)
         if bucket is None:
             if len(self._buckets) >= self._max_clients:
-                oldest = min(self._last_seen, key=self._last_seen.get)
-                del self._buckets[oldest]
-                del self._last_seen[oldest]
+                self._buckets.popitem(last=False)
             bucket = TokenBucket(self._rate, self._burst)
             self._buckets[client] = bucket
-        self._last_seen[client] = now
+        else:
+            self._buckets.move_to_end(client)
         if bucket.try_acquire(now):
             return True, 0.0
         return False, bucket.retry_after_s(now)

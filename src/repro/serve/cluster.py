@@ -45,7 +45,7 @@ import os
 import signal
 import socket
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Awaitable, Dict, List, Mapping, Optional, Set, Tuple
 
 from repro.errors import (
     GatewayError,
@@ -57,19 +57,11 @@ from repro.runtime.metrics import (
     merge_histogram_dicts,
     metrics_document,
 )
-from repro.serve.gateway import GatewayConfig, PlanningGateway
-from repro.serve.http11 import (
-    read_request,
-    read_response,
-    render_request,
-    render_response,
-)
+from repro.serve.gateway import GatewayConfig, PlanningGateway, serve_connection
+from repro.serve.health import open_majority
+from repro.serve.http11 import read_response, render_request
 from repro.serve.metrics import LATENCY_BUCKETS_MS, SATISFACTION_BUCKETS
-from repro.serve.protocol import (
-    decode_reload_scenario,
-    encode_payload,
-    error_payload,
-)
+from repro.serve.protocol import decode_reload_scenario, error_payload
 from repro.serve.sharding import ShardRouter
 from repro.workloads.io import load_scenario
 from repro.workloads.scenario import Scenario
@@ -316,6 +308,8 @@ class ClusterSupervisor:
         self._anchor: Optional[socket.socket] = None
         self._listen_sock: Optional[socket.socket] = None
         self._admin_server: Optional[asyncio.AbstractServer] = None
+        #: Writers of admin connections parked between requests.
+        self._admin_idle: Set[asyncio.StreamWriter] = set()
         self._admin_port_bound: Optional[int] = None
         self._port: Optional[int] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
@@ -399,7 +393,7 @@ class ClusterSupervisor:
             for worker_id in range(self._cluster.workers):
                 self._spawn_worker(worker_id)
             self._admin_server = await asyncio.start_server(
-                self._handle_admin_connection,
+                self._on_admin_connection,
                 host=self._cluster.admin_host,
                 port=self._cluster.admin_port,
             )
@@ -514,6 +508,11 @@ class ClusterSupervisor:
     async def _close_admin(self) -> None:
         if self._admin_server is not None:
             self._admin_server.close()
+            # From Python 3.12 on wait_closed() also waits for every open
+            # connection: close the idle ones, busy ones close after
+            # answering (the supervisor is draining).
+            for writer in list(self._admin_idle):
+                writer.close()
             await self._admin_server.wait_closed()
             self._admin_server = None
 
@@ -750,100 +749,59 @@ class ClusterSupervisor:
     # ------------------------------------------------------------------
     # Admin server
     # ------------------------------------------------------------------
-    async def _handle_admin_connection(
+    def _on_admin_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        try:
-            while True:
-                try:
-                    request = await read_request(reader)
-                except GatewayProtocolError as exc:
-                    writer.write(
-                        render_response(
-                            400,
-                            encode_payload(error_payload("invalid", str(exc))),
-                            keep_alive=False,
-                        )
-                    )
-                    await writer.drain()
-                    break
-                if request is None:
-                    break
-                try:
-                    status, payload = await self._dispatch_admin(request)
-                except Exception as exc:
-                    status = 500
-                    payload = error_payload(
-                        "error", f"{type(exc).__name__}: {exc}"
-                    )
-                keep_alive = (
-                    request.keep_alive and not self._draining and status != 500
-                )
-                writer.write(
-                    render_response(
-                        status,
-                        encode_payload(payload),
-                        keep_alive=keep_alive,
-                    )
-                )
-                await writer.drain()
-                if not keep_alive:
-                    break
-        except (ConnectionError, asyncio.CancelledError):
-            pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, asyncio.CancelledError):
-                pass
+    ) -> Awaitable[None]:
+        return serve_connection(
+            reader,
+            writer,
+            self._dispatch_admin,
+            self._gateway_config.max_body_bytes,
+            {},
+            lambda _counter: None,
+            self._admin_idle,
+            lambda: self._draining,
+        )
 
     async def _dispatch_admin(
         self, request: Any
-    ) -> Tuple[int, Dict[str, Any]]:
+    ) -> Tuple[int, Dict[str, Any], Dict[str, str]]:
         route = (request.method, request.path)
         if route == ("GET", "/metrics"):
-            return 200, await self.merged_metrics()
+            return 200, await self.merged_metrics(), {}
         if route == ("GET", "/cluster"):
-            return 200, self.cluster_document()
+            return 200, self.cluster_document(), {}
         if route == ("GET", "/health"):
-            return 200, self.health_document()
+            return 200, self.health_document(), {}
         if route == ("GET", "/healthz"):
-            return 200, {"status": "alive", "alive": self._alive_count()}
+            return 200, {"status": "alive", "alive": self._alive_count()}, {}
         if route == ("GET", "/readyz"):
             if self._draining:
-                return 503, error_payload("draining")
+                return 503, error_payload("draining"), {}
             if self._reload_inflight:
-                return 503, error_payload(
-                    "reloading", "reload fan-out in flight"
-                )
+                return 503, error_payload("reloading", "reload fan-out in flight"), {}
             if not all(
                 handle.ready.is_set() for handle in self._handles.values()
             ):
-                return 503, error_payload("starting")
-            open_count = sum(
-                1
-                for entry in self._health_view.values()
-                if entry["state"] == "open"
+                return 503, error_payload("starting"), {}
+            detail = open_majority(
+                entry["state"] for entry in self._health_view.values()
             )
-            if self._health_view and open_count * 2 > len(self._health_view):
-                return 503, error_payload(
-                    "degraded",
-                    f"{open_count}/{len(self._health_view)} breakers open",
-                )
-            return 200, {"status": "ready", "workers": self._cluster.workers}
+            if detail is not None:
+                return 503, error_payload("degraded", detail), {}
+            return 200, {"status": "ready", "workers": self._cluster.workers}, {}
         if route == ("POST", "/admin/reload"):
             return await self._handle_reload(request.body)
         if request.path in ("/metrics", "/cluster", "/health", "/healthz",
                             "/readyz", "/admin/reload"):
-            return 405, error_payload("invalid", "method not allowed")
-        return 404, error_payload("invalid", f"no route {request.path!r}")
+            return 405, error_payload("invalid", "method not allowed"), {}
+        return 404, error_payload("invalid", f"no route {request.path!r}"), {}
 
     async def _handle_reload(
         self, body: bytes
-    ) -> Tuple[int, Dict[str, Any]]:
+    ) -> Tuple[int, Dict[str, Any], Dict[str, str]]:
         if self._draining:
-            return 503, error_payload("draining")
+            return 503, error_payload("draining"), {}
         # Validate before broadcasting so a malformed body is one 400 and
         # zero worker round-trips.  This runs inline: the parent must stay
         # thread-free (forked restarts would inherit executor threads),
@@ -851,7 +809,7 @@ class ClusterSupervisor:
         try:
             decode_reload_scenario(body)
         except ReproError as exc:
-            return 400, error_payload("invalid", str(exc))
+            return 400, error_payload("invalid", str(exc)), {}
         results = await self._broadcast_reload(("reload_body", bytes(body)))
         workers = [
             {"worker_id": worker_id, "status": status, "detail": detail}
@@ -866,7 +824,7 @@ class ClusterSupervisor:
                 for worker_id, generation in sorted(self.generations().items())
             },
         }
-        return (200 if not failed else 500), summary
+        return (200 if not failed else 500), summary, {}
 
     async def _broadcast_reload_path(self) -> None:
         await self._broadcast_reload(("reload_path", None))

@@ -30,7 +30,7 @@ import socket
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Set, Tuple
+from typing import Any, Awaitable, Callable, Dict, Mapping, Optional, Set, Tuple
 
 from repro.errors import (
     GatewayError,
@@ -51,6 +51,7 @@ from repro.serve.health import (
     HealthConfig,
     HealthRegistry,
     TransitionRecord,
+    open_majority,
 )
 from repro.serve.http11 import HttpRequest, read_request, render_response
 from repro.serve.metrics import GatewayMetrics
@@ -76,6 +77,9 @@ from repro.workloads.io import load_scenario
 from repro.workloads.scenario import Scenario
 
 __all__ = ["GatewayConfig", "PlanningGateway"]
+
+#: What every request handler returns: ``(status, payload, headers)``.
+_Answer = Tuple[int, Dict[str, Any], Dict[str, str]]
 
 
 @dataclass(frozen=True)
@@ -160,7 +164,7 @@ class _QueuedRequest:
     envelope: Any
     deadline: float
     enqueued_at: float
-    future: "asyncio.Future[Tuple[int, Dict[str, Any], Dict[str, str]]]"
+    future: "asyncio.Future[_Answer]"
 
 
 def _new_state(
@@ -178,6 +182,85 @@ def _new_state(
         group=GroupPlanner(planner),
         generation=generation,
     )
+
+
+async def serve_connection(
+    reader: asyncio.StreamReader,
+    writer: asyncio.StreamWriter,
+    dispatch: Callable[[HttpRequest], Awaitable[_Answer]],
+    max_body: int,
+    extra_headers: Mapping[str, str],
+    bump: Callable[[str], None],
+    idle: Set[asyncio.StreamWriter],
+    draining: Callable[[], bool],
+) -> None:
+    """Serve one HTTP/1.1 keep-alive connection until either side ends it.
+
+    The one connection loop of the gateway listeners and the cluster
+    admin listener.  ``dispatch`` answers a request with ``(status,
+    payload, headers)``; ``extra_headers`` ride on every response;
+    ``bump`` meters ``connections``, ``protocol_errors`` and ``errors``.
+    While the loop waits for the next request its writer sits in
+    ``idle``, so an owner that stops serving can close idle keep-alive
+    connections without cutting an answer in flight.  Once
+    ``draining()`` holds, every response closes its connection.
+    """
+    bump("connections")
+    try:
+        while True:
+            idle.add(writer)
+            try:
+                request = await read_request(reader, max_body=max_body)
+            except GatewayProtocolError as exc:
+                bump("protocol_errors")
+                writer.write(
+                    render_response(
+                        400,
+                        encode_payload(error_payload("invalid", str(exc))),
+                        headers=extra_headers,
+                        keep_alive=False,
+                    )
+                )
+                await writer.drain()
+                break
+            if request is None:
+                break
+            idle.discard(writer)
+            try:
+                status, payload, headers = await dispatch(request)
+            except (ConnectionError, asyncio.CancelledError):
+                raise
+            except Exception as exc:
+                # Dispatch must never kill the connection task: anything
+                # the typed 400/422 paths missed is metered and answered
+                # 500 so the client always gets a response.
+                bump("errors")
+                status = 500
+                payload = error_payload("error", f"{type(exc).__name__}: {exc}")
+                headers = {}
+            keep_alive = request.keep_alive and not draining() and status != 500
+            if extra_headers:
+                headers = {**headers, **extra_headers}
+            writer.write(
+                render_response(
+                    status,
+                    encode_payload(payload),
+                    headers=headers,
+                    keep_alive=keep_alive,
+                )
+            )
+            await writer.drain()
+            if not keep_alive:
+                break
+    except (ConnectionError, asyncio.CancelledError):
+        pass
+    finally:
+        idle.discard(writer)
+        writer.close()
+        try:
+            await writer.wait_closed()
+        except (ConnectionError, asyncio.CancelledError):
+            pass
 
 
 class PlanningGateway:
@@ -222,7 +305,16 @@ class PlanningGateway:
         )
         self._workers: list = []
         self._connections: Set[asyncio.Task] = set()
-        self._writers: Set[asyncio.StreamWriter] = set()
+        #: Writers of connections parked between requests.
+        self._idle_writers: Set[asyncio.StreamWriter] = set()
+        #: Every response a cluster worker writes carries ``x-worker-id``
+        #: so clients can attribute requests to the process that served
+        #: them; a standalone gateway adds nothing.
+        self._identity_headers: Dict[str, str] = (
+            {WORKER_ID_HEADER: str(self._config.worker_id)}
+            if self._config.worker_id is not None
+            else {}
+        )
         self._inflight = 0
         self._draining = False
         self._port: Optional[int] = None
@@ -482,10 +574,13 @@ class PlanningGateway:
         the flushed final metrics snapshot.
         """
         self._draining = True
-        for server in (self._server, self._private_server):
-            if server is not None:
-                server.close()
-                await server.wait_closed()
+        servers = [
+            server
+            for server in (self._server, self._private_server)
+            if server is not None
+        ]
+        for server in servers:
+            server.close()
         loop = asyncio.get_running_loop()
         grace_ends = loop.time() + self._config.drain_grace_s
         while (len(self._queue) or self._inflight) and loop.time() < grace_ends:
@@ -501,16 +596,21 @@ class PlanningGateway:
             task.cancel()
         await asyncio.gather(*self._workers, return_exceptions=True)
         # Give connection handlers one scheduling round to flush the
-        # resolved futures, then sever whatever is still open.
+        # resolved futures, then close idle keep-alive connections and
+        # sever whatever is still open.
         deadline = loop.time() + 1.0
         while self._connections and loop.time() < deadline:
             await asyncio.sleep(0.01)
-        for writer in list(self._writers):
+        for writer in list(self._idle_writers):
             writer.close()
         for task in list(self._connections):
             task.cancel()
         if self._connections:
             await asyncio.gather(*self._connections, return_exceptions=True)
+        # From Python 3.12 on this also waits for every open connection,
+        # so it must come after they are closed.
+        for server in servers:
+            await server.wait_closed()
         self._executor.shutdown(wait=False)
         return self.metrics_document()
 
@@ -610,102 +710,30 @@ class PlanningGateway:
     # ------------------------------------------------------------------
     # Connection handling
     # ------------------------------------------------------------------
-    def _identity_headers(
-        self, headers: Optional[Dict[str, str]] = None
-    ) -> Dict[str, str]:
-        """Response headers plus this worker's identity (cluster mode).
-
-        Every response a cluster worker writes carries ``x-worker-id`` so
-        clients and the load generator can attribute requests to the
-        process that actually served them; standalone gateways add
-        nothing.
-        """
-        if self._config.worker_id is None:
-            return headers or {}
-        merged = dict(headers or {})
-        merged[WORKER_ID_HEADER] = str(self._config.worker_id)
-        return merged
-
     def _on_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         task = asyncio.get_running_loop().create_task(
-            self._handle_connection(reader, writer)
+            serve_connection(
+                reader,
+                writer,
+                self._dispatch,
+                self._config.max_body_bytes,
+                self._identity_headers,
+                self._metrics.bump,
+                self._idle_writers,
+                lambda: self._draining,
+            )
         )
         self._connections.add(task)
         task.add_done_callback(self._connections.discard)
 
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self._metrics.bump("connections")
-        self._writers.add(writer)
-        try:
-            while True:
-                try:
-                    request = await read_request(
-                        reader, max_body=self._config.max_body_bytes
-                    )
-                except GatewayProtocolError as exc:
-                    self._metrics.bump("protocol_errors")
-                    writer.write(
-                        render_response(
-                            400,
-                            encode_payload(error_payload("invalid", str(exc))),
-                            headers=self._identity_headers(),
-                            keep_alive=False,
-                        )
-                    )
-                    await writer.drain()
-                    break
-                if request is None:
-                    break
-                try:
-                    status, payload, headers = await self._dispatch(request)
-                except (ConnectionError, asyncio.CancelledError):
-                    raise
-                except Exception as exc:
-                    # Dispatch must never kill the connection task: anything
-                    # the typed 400/422 paths missed is metered and answered
-                    # 500 so the client always gets a response.
-                    self._metrics.bump("errors")
-                    status = 500
-                    payload = error_payload(
-                        "error", f"{type(exc).__name__}: {exc}"
-                    )
-                    headers = {}
-                keep_alive = (
-                    request.keep_alive and not self._draining and status != 500
-                )
-                writer.write(
-                    render_response(
-                        status,
-                        encode_payload(payload),
-                        headers=self._identity_headers(headers),
-                        keep_alive=keep_alive,
-                    )
-                )
-                await writer.drain()
-                if not keep_alive:
-                    break
-        except (ConnectionError, asyncio.CancelledError):
-            pass
-        finally:
-            self._writers.discard(writer)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, asyncio.CancelledError):
-                pass
-
-    async def _dispatch(
-        self, request: HttpRequest
-    ) -> Tuple[int, Dict[str, Any], Dict[str, str]]:
+    async def _dispatch(self, request: HttpRequest) -> _Answer:
         route = (request.method, request.path)
         if route == ("POST", "/plan"):
-            return await self._handle_plan(request)
+            return await self._admit_plan(request, decode_plan_request)
         if route == ("POST", "/plan-group"):
-            return await self._handle_plan_group(request)
+            return await self._admit_plan(request, decode_group_plan_request)
         if route == ("POST", "/admin/reload"):
             return await self._handle_reload(request)
         if route == ("POST", "/report"):
@@ -718,24 +746,11 @@ class PlanningGateway:
             if self._draining:
                 return 503, error_payload("draining"), {}
             if self._health is not None:
-                states = self._health.states(self._health_now())
-                open_count = sum(
-                    1
-                    for state in states.values()
-                    if state is BreakerState.OPEN
+                detail = open_majority(
+                    self._health.states(self._health_now()).values()
                 )
-                if states and open_count * 2 > len(states):
-                    # More than half the tracked services are
-                    # quarantined: this gateway can mostly only degrade,
-                    # so tell load balancers to route around it.
-                    return (
-                        503,
-                        error_payload(
-                            "degraded",
-                            f"{open_count}/{len(states)} breakers open",
-                        ),
-                        {},
-                    )
+                if detail is not None:
+                    return 503, error_payload("degraded", detail), {}
             return 200, {"status": "ready", "generation": self.generation}, {}
         if route == ("GET", "/metrics"):
             return 200, self.metrics_document(), {}
@@ -747,9 +762,7 @@ class PlanningGateway:
             return 405, error_payload("invalid", "method not allowed"), {}
         return 404, error_payload("invalid", f"no route {request.path!r}"), {}
 
-    def _handle_report(
-        self, request: HttpRequest
-    ) -> Tuple[int, Dict[str, Any], Dict[str, str]]:
+    def _handle_report(self, request: HttpRequest) -> _Answer:
         """``POST /report``: feed per-service session outcomes to breakers."""
         if self._health is None:
             return 200, {"status": "disabled", "accepted": 0}, {}
@@ -783,9 +796,7 @@ class PlanningGateway:
             {},
         )
 
-    async def _handle_reload(
-        self, request: HttpRequest
-    ) -> Tuple[int, Dict[str, Any], Dict[str, str]]:
+    async def _handle_reload(self, request: HttpRequest) -> _Answer:
         if self._draining:
             return 503, error_payload("draining"), {}
         try:
@@ -795,25 +806,12 @@ class PlanningGateway:
             return 400, error_payload("invalid", str(exc)), {}
         return 200, summary, {}
 
-    async def _handle_plan(
-        self, request: HttpRequest
-    ) -> Tuple[int, Dict[str, Any], Dict[str, str]]:
-        return await self._admit_plan(request, decode_plan_request)
+    async def _admit_plan(self, request: HttpRequest, decode: Any) -> _Answer:
+        """Admit one ``/plan`` or ``/plan-group`` request and await its answer.
 
-    async def _handle_plan_group(
-        self, request: HttpRequest
-    ) -> Tuple[int, Dict[str, Any], Dict[str, str]]:
-        """``POST /plan-group``: one shared tree for a receiver-class set.
-
-        Admission is identical to ``/plan`` (same limiter, same deadline
-        queue, same sheds); only the decoder and the planning branch in
-        :meth:`_plan_one` differ, keyed on the envelope type.
+        Both kinds share the limiter, the deadline queue and its sheds;
+        only ``decode`` differs here, and :meth:`_plan_one` plans both.
         """
-        return await self._admit_plan(request, decode_group_plan_request)
-
-    async def _admit_plan(
-        self, request: HttpRequest, decode: Any
-    ) -> Tuple[int, Dict[str, Any], Dict[str, str]]:
         loop = asyncio.get_running_loop()
         now = loop.time()
         if self._draining:
@@ -881,23 +879,6 @@ class PlanningGateway:
         if not item.future.done():
             item.future.set_result((status, payload, headers or {}))
 
-    def _to_plan_request(
-        self, state: _GatewayState, envelope: Any
-    ) -> PlanRequest:
-        scenario = state.scenario
-        return PlanRequest(
-            content=envelope.content or scenario.content,
-            device=envelope.device or scenario.device,
-            user=envelope.user or scenario.user,
-            sender_node=envelope.sender or scenario.sender_node,
-            receiver_node=envelope.receiver or scenario.receiver_node,
-            context=(
-                envelope.context
-                if envelope.context is not None
-                else scenario.context
-            ),
-        )
-
     async def _worker(self) -> None:
         loop = asyncio.get_running_loop()
         while True:
@@ -945,7 +926,7 @@ class PlanningGateway:
 
     def _run_planning(self, plan_call, request, view: Optional[CatalogView]):
         """Runs ``plan_call(request, view)`` in a planning thread; pairs the
-        increment in :meth:`_plan_one` and :meth:`_plan_group_one`.
+        increment in :meth:`_plan_one`.
 
         The decrement lives here (not on the awaiting side) because a
         deadline timeout abandons the await while this thread keeps
@@ -957,22 +938,37 @@ class PlanningGateway:
             with self._executor_lock:
                 self._executor_outstanding -= 1
 
-    def _to_group_request(
-        self, state: _GatewayState, envelope: GroupPlanEnvelope
-    ) -> GroupRequest:
+    def _planning_kind(self, state: _GatewayState, envelope: Any) -> Tuple:
+        """What differs between planning a ``/plan`` and a ``/plan-group``.
+
+        Returns ``(plan_call, request, per_session, answer)``: the planner
+        entry point, the request it plans (envelope fields over the
+        scenario's defaults), whether the answer is per-session, and the
+        hook that shapes a planned result.  Only per-session answers
+        degrade (under health, an overrun or a plan broken by quarantine
+        becomes a zero-hop passthrough) or carry a ``403`` policy verdict.
+        A passthrough means nothing for a class set, so a group overrun is
+        an honest 504 and any group planner failure, a deny included, a
+        typed 422; classes the masked catalog cannot serve surface as
+        per-class fallbacks inside a 200.
+        """
         scenario = state.scenario
-        return GroupRequest(
+        common = dict(
             content=envelope.content or scenario.content,
             user=envelope.user or scenario.user,
             sender_node=envelope.sender or scenario.sender_node,
             receiver_node=envelope.receiver or scenario.receiver_node,
-            receivers=envelope.receivers,
             context=(
                 envelope.context
                 if envelope.context is not None
                 else scenario.context
             ),
         )
+        if isinstance(envelope, GroupPlanEnvelope):
+            request = GroupRequest(receivers=envelope.receivers, **common)
+            return state.group.plan_with_cache_info, request, False, self._answer_group
+        request = PlanRequest(device=envelope.device or scenario.device, **common)
+        return state.planner.plan_with_policy_info, request, True, self._answer_plan
 
     def _resolve_degraded(
         self,
@@ -1003,30 +999,29 @@ class PlanningGateway:
         deadline: float,
         queue_ms: float,
     ) -> None:
+        """Plan one admitted request of either kind on a planning thread.
+
+        The executor-saturation shed, the deadline and the service-floor
+        padding exist once; :meth:`_planning_kind` supplies the rest.
+        """
         state = self._state
         health_on = self._health is not None
-        is_group = isinstance(item.envelope, GroupPlanEnvelope)
+        plan_call, request, per_session, answer = self._planning_kind(
+            state, item.envelope
+        )
         if (
             health_on
-            and not is_group
+            and per_session
             and (deadline - loop.time()) * 1000.0
             <= self._config.degraded_budget_ms
         ):
             # The budget is nearly spent: a planning run would most
             # likely 504.  Ship the source variant unadapted instead.
-            # Group requests never degrade: a per-session passthrough has
-            # no meaning for a class set, so they 504 honestly instead.
             self._resolve_degraded(
                 item, state, "deadline budget nearly spent", queue_ms
             )
             return
         view = self._quarantine_view() if health_on else None
-        if is_group:
-            await self._plan_group_one(
-                loop, item, deadline, queue_ms, state, view
-            )
-            return
-        plan_request = self._to_plan_request(state, item.envelope)
         with self._executor_lock:
             saturated = self._executor_outstanding >= self._config.workers
             if not saturated:
@@ -1050,19 +1045,15 @@ class PlanningGateway:
             return
         started = loop.time()
         try:
-            plan, cache_hit, decision = await asyncio.wait_for(
+            result = await asyncio.wait_for(
                 loop.run_in_executor(
-                    self._executor,
-                    self._run_planning,
-                    state.planner.plan_with_policy_info,
-                    plan_request,
-                    view,
+                    self._executor, self._run_planning, plan_call, request, view
                 ),
                 timeout=deadline - started,
             )
         except asyncio.TimeoutError:
             self._metrics.bump("timeouts")
-            if health_on:
+            if health_on and per_session:
                 self._resolve_degraded(
                     item,
                     state,
@@ -1080,6 +1071,8 @@ class PlanningGateway:
         except PolicyDeniedError as exc:
             # A deny is an explicit policy verdict, never degraded over:
             # this arm must sit before the generic ReproError handler.
+            if not per_session:
+                raise
             self._metrics.bump("policy_denied")
             self._resolve(
                 item,
@@ -1088,7 +1081,7 @@ class PlanningGateway:
             )
             return
         except ReproError:
-            if view is not None:
+            if per_session and view is not None:
                 # The masked catalog is what broke planning; that is a
                 # quality event, not a client error.
                 self._resolve_degraded(
@@ -1106,6 +1099,19 @@ class PlanningGateway:
             pad = floor_s - (loop.time() - started)
             if pad > 0:
                 await asyncio.sleep(pad)
+        answer(item, state, result, view, queue_ms, plan_ms)
+
+    def _answer_plan(
+        self,
+        item: _QueuedRequest,
+        state: _GatewayState,
+        result: Tuple,
+        view: Optional[CatalogView],
+        queue_ms: float,
+        plan_ms: float,
+    ) -> None:
+        """Shape a ``/plan`` result: policy skip, degraded, or planned."""
+        plan, cache_hit, decision = result
         if decision is not None and decision.kind == "skip":
             # Zero-hop fast path: the selector never ran.  Metered apart
             # from "planned" (like degraded answers) so the counter split
@@ -1154,68 +1160,17 @@ class PlanningGateway:
             payload["forced_tier"] = decision.tier
         self._resolve(item, 200, payload)
 
-    async def _plan_group_one(
+    def _answer_group(
         self,
-        loop: asyncio.AbstractEventLoop,
         item: _QueuedRequest,
-        deadline: float,
-        queue_ms: float,
         state: _GatewayState,
+        result: Tuple,
         view: Optional[CatalogView],
+        queue_ms: float,
+        plan_ms: float,
     ) -> None:
-        """Plan one ``/plan-group`` request on a planning thread.
-
-        Quarantine still applies — every class plans over the quarantine
-        ``view`` — but group answers are
-        never degraded: classes the (possibly masked) catalog cannot
-        serve surface as per-class fallbacks inside a 200, a planning
-        overrun is an honest 504, and a planner-level failure is a typed
-        422 like any other unplannable request.
-        """
-        group_request = self._to_group_request(state, item.envelope)
-        with self._executor_lock:
-            saturated = self._executor_outstanding >= self._config.workers
-            if not saturated:
-                self._executor_outstanding += 1
-        if saturated:
-            # Same reasoning as the per-session path: never queue behind
-            # threads abandoned past their deadline.
-            self._metrics.bump("shed_busy")
-            self._resolve(
-                item,
-                429,
-                error_payload(
-                    "shed", "planner pool saturated by overrunning work"
-                ),
-                {"retry-after": f"{self._config.shed_retry_after_s:.3f}"},
-            )
-            return
-        started = loop.time()
-        try:
-            plan, cache_hit = await asyncio.wait_for(
-                loop.run_in_executor(
-                    self._executor,
-                    self._run_planning,
-                    state.group.plan_with_cache_info,
-                    group_request,
-                    view,
-                ),
-                timeout=deadline - started,
-            )
-        except asyncio.TimeoutError:
-            self._metrics.bump("timeouts")
-            self._resolve(
-                item,
-                504,
-                error_payload("timeout", "planning overran the deadline"),
-            )
-            return
-        plan_ms = (loop.time() - started) * 1000.0
-        floor_s = self._config.service_floor_ms / 1000.0
-        if floor_s > 0:
-            pad = floor_s - (loop.time() - started)
-            if pad > 0:
-                await asyncio.sleep(pad)
+        """Shape a ``/plan-group`` result: one shared tree, never degraded."""
+        plan, cache_hit = result
         self._metrics.bump("groups")
         self._metrics.bump("group_sessions", plan.total_sessions)
         self._metrics.bump("group_branches", len(plan.tree.branches))

@@ -40,7 +40,7 @@ import hashlib
 import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.errors import ValidationError
 
@@ -51,6 +51,7 @@ __all__ = [
     "HealthConfig",
     "HealthRegistry",
     "TransitionRecord",
+    "open_majority",
 ]
 
 
@@ -492,3 +493,18 @@ class HealthRegistry:
         ]
         document["trace_digest"] = self.trace_digest()
         return document
+
+
+def open_majority(states: Iterable[str]) -> Optional[str]:
+    """The readiness verdict over breaker ``states`` (enum or wire string).
+
+    More than half the tracked services quarantined means a gateway can
+    mostly only degrade, so ``/readyz`` tells load balancers to route
+    around it: returns the ``"k/n breakers open"`` detail of that 503, or
+    ``None`` while the gateway is ready.
+    """
+    states = list(states)
+    open_count = sum(1 for state in states if state == BreakerState.OPEN)
+    if open_count * 2 > len(states):
+        return f"{open_count}/{len(states)} breakers open"
+    return None

@@ -108,12 +108,11 @@ async def _read_body(
     max_body: int,
 ) -> bytes:
     raw_length = headers.get("content-length", "0")
-    try:
-        length = int(raw_length)
-    except ValueError:
-        raise GatewayProtocolError(f"bad Content-Length: {raw_length!r}") from None
-    if length < 0:
-        raise GatewayProtocolError(f"negative Content-Length: {length}")
+    # RFC 9110 allows only 1*DIGIT: int() would also take "+2", "0_2" or
+    # non-ASCII digits, a parsing differential behind any proxy.
+    if not (raw_length.isascii() and raw_length.isdigit()):
+        raise GatewayProtocolError(f"bad Content-Length: {raw_length!r}")
+    length = int(raw_length)
     if length > max_body:
         raise GatewayProtocolError(f"body of {length} bytes exceeds cap {max_body}")
     if "transfer-encoding" in headers:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import time
 
 import pytest
 
@@ -21,6 +22,7 @@ from repro.serve import (
     PlanningGateway,
     run_loadgen,
 )
+from repro.serve.health import HealthConfig
 from repro.serve.http11 import read_response, render_request
 from repro.serve.protocol import encode_payload
 from repro.workloads.synthetic import SyntheticConfig, generate_scenario
@@ -257,19 +259,29 @@ class TestAdmission:
         shed = next(p for s, p, _ in outcomes if s == 429)
         assert shed["status"] == "shed"
 
-    def test_saturated_planner_pool_sheds_instead_of_queueing(self):
+    @pytest.mark.parametrize("path", ["/plan", "/plan-group"],
+                             ids=["plan", "plan-group"])
+    def test_saturated_planner_pool_sheds_instead_of_queueing(self, path):
         # A planning thread abandoned past its deadline cannot be
         # cancelled; while such work saturates the pool, new submissions
-        # are shed (429 shed_busy) instead of queueing invisibly inside
-        # the executor, and serving resumes once the pool frees up.
+        # of either kind are shed (429 shed_busy) instead of queueing
+        # invisibly inside the executor, and serving resumes once the
+        # pool frees up.
+        body = (
+            {"receivers": TestPlanGroupEndpoint._receivers(2),
+             "deadline_ms": 5000}
+            if path == "/plan-group"
+            else {}
+        )
+
         async def scenario(gateway):
             with gateway._executor_lock:
                 gateway._executor_outstanding = gateway.config.workers
-            shed = await request(gateway.port, "POST", "/plan",
-                                 {"deadline_ms": 2000})
+            shed = await request(gateway.port, "POST", path,
+                                 {"deadline_ms": 2000, **body})
             with gateway._executor_lock:
                 gateway._executor_outstanding = 0
-            recovered = await request(gateway.port, "POST", "/plan", {})
+            recovered = await request(gateway.port, "POST", path, body)
             metrics = await request(gateway.port, "GET", "/metrics")
             return shed, recovered, metrics
 
@@ -452,6 +464,32 @@ class TestDrain:
         status, payload = asyncio.run(scenario())
         assert status == 503
         assert payload["status"] == "draining"
+
+    def test_drain_closes_idle_keep_alive_connections(self):
+        # From Python 3.12 on, Server.wait_closed() also waits for open
+        # connections: drain must close an idle keep-alive client itself
+        # instead of waiting for it to hang up.
+        async def scenario():
+            gateway = PlanningGateway(SCENARIO, gateway_config())
+            await gateway.start()
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", gateway.port
+            )
+            try:
+                writer.write(render_request("GET", "/healthz"))
+                await writer.drain()
+                served = await read_response(reader)
+                final = await asyncio.wait_for(gateway.drain(), timeout=10.0)
+                closed = await asyncio.wait_for(reader.read(), timeout=5.0)
+            finally:
+                writer.close()
+            return served, final, closed
+
+        served, final, closed = asyncio.run(scenario())
+        assert served.status == 200
+        assert served.headers["connection"] == "keep-alive"
+        assert final["metrics"]["draining"] is True
+        assert closed == b""
 
     def test_request_drain_unblocks_run(self):
         async def scenario():
@@ -797,3 +835,29 @@ class TestPlanGroupEndpoint:
         assert first[1]["generation"] == 1
         assert second[1]["generation"] == 2
         assert second[1]["cache_hit"] is False
+
+    def test_overrun_under_health_is_504_never_degraded(self):
+        # Under health a /plan overrun degrades to a passthrough; a class
+        # set has no passthrough, so a /plan-group overrun stays a 504.
+        async def scenario(gateway):
+            group = gateway._state.group
+            plan = group.plan_with_cache_info
+
+            def slow_plan(group_request, view=None):
+                time.sleep(0.3)
+                return plan(group_request, view)
+
+            group.plan_with_cache_info = slow_plan
+            answer = await request(
+                gateway.port, "POST", "/plan-group",
+                {"receivers": self._receivers(2), "deadline_ms": 100},
+            )
+            return answer, dict(gateway.metrics.counters)
+
+        (status, payload, _), counters = run_against_gateway(
+            scenario, health=HealthConfig()
+        )
+        assert status == 504
+        assert payload["status"] == "timeout"
+        assert counters["timeouts"] == 1
+        assert counters.get("degraded", 0) == 0

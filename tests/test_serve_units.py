@@ -93,6 +93,14 @@ class TestHttpCodec:
     def test_bad_content_length_raises(self):
         with pytest.raises(GatewayProtocolError):
             parse_request(b"GET /x HTTP/1.1\r\ncontent-length: ten\r\n\r\n")
+        # Only ASCII digits (RFC 9110 1*DIGIT), although int() takes the
+        # rest; requests and responses share the rule.
+        for value in ("+2", "0_2", "-0", " 2 2", "", "\u00b2", "2.0"):
+            field = f"content-length: {value}\r\n\r\nab".encode("latin-1")
+            with pytest.raises(GatewayProtocolError):
+                parse_request(b"POST /x HTTP/1.1\r\n" + field)
+            with pytest.raises(GatewayProtocolError):
+                parse_response(b"HTTP/1.1 200 OK\r\n" + field)
 
     def test_oversized_body_rejected_without_reading_it(self):
         head = b"POST /plan HTTP/1.1\r\ncontent-length: 100\r\n\r\n"
