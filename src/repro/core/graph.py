@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.core.configuration import Configuration
-from repro.errors import GraphConstructionError, UnknownServiceError
+from repro.errors import GraphConstructionError, UnknownNodeError, UnknownServiceError
 from repro.network.placement import ServicePlacement
 from repro.network.topology import NetworkTopology
 from repro.profiles.content import ContentProfile
@@ -142,21 +142,19 @@ class AdaptationGraph:
             in_lists[edge.target].append(edge)
         # The graph is frozen after construction, so the adjacency order the
         # selectors rely on is computed exactly once here instead of on
-        # every out_edges()/in_edges() call (the seed re-sorted per call).
+        # every out_edges()/in_edges() call (the seed re-sorted per call),
+        # from one sort key per vertex rather than one per edge.
+        sort_key = {v: service_sort_key(v) for v in self._vertices}
         self._out_edges: Dict[str, Tuple[Edge, ...]] = {
-            v: tuple(
-                sorted(es, key=lambda e: (service_sort_key(e.target), e.format_name))
-            )
+            v: tuple(sorted(es, key=lambda e: (sort_key[e.target], e.format_name)))
             for v, es in out_lists.items()
         }
         self._in_edges: Dict[str, Tuple[Edge, ...]] = {
-            v: tuple(
-                sorted(es, key=lambda e: (service_sort_key(e.source), e.format_name))
-            )
+            v: tuple(sorted(es, key=lambda e: (sort_key[e.source], e.format_name)))
             for v, es in in_lists.items()
         }
         self._ordered_ids: Tuple[str, ...] = tuple(
-            sorted(self._vertices, key=service_sort_key)
+            sorted(self._vertices, key=sort_key.__getitem__)
         )
         #: Natural-order rank per vertex id; selectors use it to turn the
         #: string-keyed tie-break orderings into cheap integer comparisons.
@@ -419,48 +417,35 @@ class AdaptationGraphBuilder:
     ) -> List[Edge]:
         """Create one edge per (producer, consumer, shared format) triple."""
         edges: List[Edge] = []
-        # Cache host-pair bandwidth: quadratic vertex pairs share few pairs.
-        bandwidth_cache: Dict[Tuple[str, str], Tuple[float, float, float]] = {}
+        # One widest-path tree per producer host prices every consumer
+        # host at once; quadratic vertex pairs share few hosts.
+        routes_from: Dict[str, Dict[str, Tuple[float, float, float]]] = {}
 
-        def between(a: str, b: str) -> Tuple[float, float, float]:
-            key = (a, b)
-            hit = bandwidth_cache.get(key)
-            if hit is not None:
-                return hit
-            if a == b:
-                result = (math.inf, 0.0, 0.0)
-            else:
-                path = topology.widest_path(a, b)
-                if path is None:
-                    result = (0.0, 0.0, 0.0)
-                else:
-                    result = (
-                        topology.path_bottleneck(path),
-                        topology.path_cost(path),
-                        topology.path_delay_ms(path),
-                    )
-            bandwidth_cache[key] = result
-            return result
-
-        consumers_of: Dict[str, List[Vertex]] = {}
+        consumers_of: Dict[str, List[Tuple[str, str]]] = {}
         for vertex in vertices:
             for fmt in vertex.service.input_formats:
-                consumers_of.setdefault(fmt, []).append(vertex)
+                consumers_of.setdefault(fmt, []).append(
+                    (vertex.service_id, vertex.node_id)
+                )
 
         for producer in vertices:
+            producer_id, host = producer.service_id, producer.node_id
             for fmt in producer.service.output_formats:
-                for consumer in consumers_of.get(fmt, ()):
-                    if consumer.service_id == producer.service_id:
+                for consumer_id, consumer_host in consumers_of.get(fmt, ()):
+                    if consumer_id == producer_id:
                         continue
-                    bandwidth, cost, delay = between(
-                        producer.node_id, consumer.node_id
-                    )
-                    if bandwidth <= 0.0:
+                    if host not in routes_from:
+                        routes_from[host] = topology.widest_routes(host)
+                    route = routes_from[host].get(consumer_host)
+                    if route is None and consumer_host not in topology:
+                        raise UnknownNodeError(consumer_host)
+                    if route is None or route[0] <= 0.0:
                         continue  # Disconnected hosts cannot form an edge.
+                    bandwidth, cost, delay = route
                     edges.append(
                         Edge(
-                            source=producer.service_id,
-                            target=consumer.service_id,
+                            source=producer_id,
+                            target=consumer_id,
                             format_name=fmt,
                             bandwidth_bps=bandwidth,
                             transmission_cost=cost,

@@ -10,7 +10,8 @@ transmission cost.  Three queries matter to the rest of the system:
   widest path* between their nodes.  Services on the same node see
   unlimited bandwidth (Section 4.3).
 - :meth:`NetworkTopology.widest_path` — the path realizing that bottleneck
-  (a max-bottleneck Dijkstra).
+  (a max-bottleneck Dijkstra); :meth:`NetworkTopology.widest_routes` runs
+  the same Dijkstra to completion and prices every route from one host.
 - :meth:`NetworkTopology.shortest_path` — fewest-hops / least-delay routing
   for the baselines and the runtime pipeline's latency model.
 """
@@ -217,32 +218,65 @@ class NetworkTopology:
             raise UnknownNodeError(target)
         if source == target:
             return [source]
-        # Max-bottleneck Dijkstra: widen the best-known bottleneck per node.
+        best, parent, _ = self._widest_tree(source, target)
+        if target not in best:
+            return None
+        return self._unwind(parent, source, target)
+
+    def widest_routes(self, source: str) -> Dict[str, Tuple[float, float, float]]:
+        """``(bottleneck, cost, delay_ms)`` of the widest path from ``source``
+        to every node it reaches (itself: ``(inf, 0.0, 0.0)``).
+
+        A settled node's parent never changes, so one full Dijkstra run
+        yields exactly the routes :meth:`widest_path` returns.  Cost and
+        delay ``sum`` each route's link figures in path order, as
+        :meth:`path_cost` and :meth:`path_delay_ms` do, so the floats agree
+        even where ``sum`` compensates rounding (Python 3.12 on).
+        """
+        if source not in self._nodes:
+            raise UnknownNodeError(source)
+        best, parent, settled = self._widest_tree(source)
+        terms = {source: ((), ())}  # per node: its route's costs, delays
+        routes = {source: (UNLIMITED_BANDWIDTH, 0.0, 0.0)}
+        for node in list(settled)[1:]:
+            hop = self._links[_canonical(parent[node], node)]
+            costs, delays = terms[parent[node]]
+            terms[node] = costs, delays = costs + (hop.cost,), delays + (hop.delay_ms,)
+            routes[node] = (best[node], sum(costs), sum(delays))
+        return routes
+
+    def _widest_tree(
+        self, source: str, target: Optional[str] = None
+    ) -> Tuple[Dict[str, float], Dict[str, str], Dict[str, None]]:
+        """Max-bottleneck Dijkstra from ``source`` until ``target`` settles
+        (or to completion): best bottlenecks, parent tree, and the settled
+        nodes in settle order."""
+        links = self._links
         best: Dict[str, float] = {source: math.inf}
         parent: Dict[str, str] = {}
+        settled: Dict[str, None] = {}
         # heapq is a min-heap, so push negated bottlenecks.
         heap: List[Tuple[float, str]] = [(-math.inf, source)]
-        visited = set()
         while heap:
             neg_width, current = heapq.heappop(heap)
-            if current in visited:
+            if current in settled:
                 continue
-            visited.add(current)
+            settled[current] = None
             if current == target:
                 break
             width = -neg_width
             for neighbor in self._adjacency[current]:
-                if neighbor in visited:
+                if neighbor in settled:
                     continue
-                link = self.get_link(current, neighbor)
-                candidate = min(width, link.bandwidth_bps)
+                key = (current, neighbor) if current < neighbor else (neighbor, current)
+                bandwidth = links[key].bandwidth_bps
+                # min(width, bandwidth), without the builtin call
+                candidate = bandwidth if bandwidth < width else width
                 if candidate > best.get(neighbor, -1.0):
                     best[neighbor] = candidate
                     parent[neighbor] = current
                     heapq.heappush(heap, (-candidate, neighbor))
-        if target not in best:
-            return None
-        return self._unwind(parent, source, target)
+        return best, parent, settled
 
     def available_bandwidth(self, source: str, target: str) -> float:
         """``Bandwidth_AvailableBetween`` (Equation 2's right-hand side).

@@ -7,9 +7,15 @@ import math
 import pytest
 
 from repro.core.configuration import Configuration
-from repro.core.graph import AdaptationGraph, AdaptationGraphBuilder, Edge, Vertex
+from repro.core.graph import (
+    AdaptationGraph,
+    AdaptationGraphBuilder,
+    CatalogView,
+    Edge,
+    Vertex,
+)
 from repro.core.parameters import FRAME_RATE
-from repro.errors import GraphConstructionError, UnknownServiceError
+from repro.errors import GraphConstructionError, UnknownNodeError, UnknownServiceError
 from repro.formats.format import MediaFormat
 from repro.formats.variants import ContentVariant
 from repro.network.placement import ServicePlacement
@@ -24,6 +30,7 @@ def simple_world(
     check_resources: bool = True,
     heavy_service: bool = False,
     context_caps=None,
+    view=None,
 ):
     """sender --F0--> T1 --F1--> receiver, plus a dead-end T2."""
     topology = NetworkTopology()
@@ -70,6 +77,7 @@ def simple_world(
         sender_node="ns",
         receiver_node="nr",
         context_caps=context_caps,
+        view=view,
     )
     return graph
 
@@ -101,6 +109,50 @@ class TestConstruction:
         edge = next(e for e in graph.edges() if e.target == "T1")
         assert edge.bandwidth_bps == 5e6
 
+    def test_multi_hop_edge_sums_its_route(self):
+        topology = NetworkTopology()
+        for node_id in ("ns", "hop", "n1", "nr"):
+            topology.node(node_id)
+        topology.link("ns", "hop", 5e6, delay_ms=2.5, cost=0.1)
+        topology.link("hop", "n1", 4e6, delay_ms=7.0, cost=0.2)
+        topology.link("n1", "nr", 3e6, delay_ms=1.0, cost=0.3)
+        catalog = ServiceCatalog(
+            [
+                ServiceDescriptor(
+                    service_id="T1", input_formats=("F0",), output_formats=("F1",)
+                )
+            ]
+        )
+        placement = ServicePlacement(topology, {"T1": "n1"})
+        content = ContentProfile(
+            content_id="c",
+            variants=[
+                ContentVariant(
+                    format=MediaFormat(name="F0"),
+                    configuration=Configuration({FRAME_RATE: 1.0}),
+                )
+            ],
+        )
+        device = DeviceProfile(device_id="d", decoders=["F1"])
+        graph = AdaptationGraphBuilder(catalog, placement).build(
+            content, device, "ns", "nr"
+        )
+        (edge,) = graph.out_edges("sender")
+        route = ["ns", "hop", "n1"]
+        assert (edge.bandwidth_bps, edge.transmission_cost, edge.delay_ms) == (
+            4e6,
+            topology.path_cost(route),
+            topology.path_delay_ms(route),
+        )
+        assert edge.transmission_cost == pytest.approx(0.3)
+        assert edge.delay_ms == 9.5
+        (edge,) = graph.in_edges("receiver")
+        assert (edge.bandwidth_bps, edge.transmission_cost, edge.delay_ms) == (
+            3e6,
+            0.3,
+            1.0,
+        )
+
     def test_receiver_caps_include_device_limits(self):
         graph = simple_world()
         assert graph.receiver.service.output_caps[FRAME_RATE] == 25.0
@@ -118,6 +170,14 @@ class TestConstruction:
         assert "T1" not in graph
         graph = simple_world(heavy_service=True, check_resources=False)
         assert "T1" in graph
+
+    def test_view_topology_missing_a_service_host_rejected(self):
+        partial = NetworkTopology()
+        for node_id in ("ns", "n2", "nr"):  # T1's host n1 is missing
+            partial.node(node_id)
+        with pytest.raises(UnknownNodeError) as raised:
+            simple_world(check_resources=False, view=CatalogView(topology=partial))
+        assert raised.value.node_id == "n1"
 
     def test_unknown_endpoint_node_rejected(self):
         topology = NetworkTopology()

@@ -113,6 +113,27 @@ class TestRouting:
         with pytest.raises(UnknownNodeError):
             diamond_topology().widest_path("a", "ghost")
 
+    def test_unknown_source_checked_before_target(self):
+        with pytest.raises(UnknownNodeError) as raised:
+            diamond_topology().widest_path("ghost-source", "ghost-target")
+        assert raised.value.node_id == "ghost-source"
+
+    def test_trivial_query_on_unknown_node_raises(self):
+        with pytest.raises(UnknownNodeError) as raised:
+            diamond_topology().widest_path("ghost", "ghost")
+        assert raised.value.node_id == "ghost"
+
+    def test_widest_routes_price_every_reachable_node(self):
+        topology = diamond_topology()
+        topology.node("island")
+        routes = topology.widest_routes("a")
+        assert routes["a"] == (math.inf, 0.0, 0.0)
+        assert routes["d"] == (8e6, 4.0, 20.0)  # the wide b-route, not c's
+        assert routes["c"] == (2e6, 0.1, 1.0)
+        assert "island" not in routes
+        with pytest.raises(UnknownNodeError):
+            topology.widest_routes("ghost")
+
     def test_shortest_path_hops(self):
         topology = diamond_topology()
         path = topology.shortest_path("a", "d")
