@@ -49,8 +49,9 @@ class CatalogView:
     - ``excluded`` masks service ids (crashed, quarantined, or outside a
       forced hardware tier) out of the graph;
     - ``topology`` replaces ``placement.topology`` as the source of node
-      resources and link bandwidth (a residual-capacity snapshot);
-      ``None`` plans against the placement's own topology.
+      resources and link bandwidth (typically a ledger's live residual
+      topology, read as it stands when the call runs); ``None`` plans
+      against the placement's own topology.
 
     Plan fingerprints hash both fields, so one plan cache serves every
     view without collisions.

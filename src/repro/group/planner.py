@@ -225,9 +225,10 @@ class GroupPlanner:
         services through the placement, the route via the residual widest
         path); the whole set then goes through
         :meth:`BandwidthLedger.reserve_group`, so a mid-tree capacity
-        failure releases every edge already held.  Routes are chosen
-        against one residual snapshot taken before the group claims
-        anything — the claim itself re-validates cumulatively.
+        failure releases every edge already held.  Every route is chosen
+        on the ledger's live residual topology before the group claims
+        anything, so all see the same residuals; the claim itself
+        re-validates cumulatively.
         """
         if not plan.tree.edges:
             raise ValidationError("group plan has no tree edges to reserve")

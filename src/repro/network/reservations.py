@@ -7,8 +7,9 @@ builds on).  :class:`BandwidthLedger` provides that bookkeeping:
 
 - each admitted stream **reserves** bits/second along a concrete route;
 - the **residual** bandwidth of a link is its capacity minus reservations;
-- planning for the next session runs against a *residual topology* whose
-  link capacities are the residuals;
+- planning for the next session runs against the ledger's *live residual
+  topology*, whose link capacities are the residuals and which every
+  reserve, release and capacity change updates in place;
 - tearing a session down releases its reservations.
 
 The ledger is deliberately strict: over-reserving a link raises, releases
@@ -19,12 +20,13 @@ length).
 from __future__ import annotations
 
 import itertools
+import math
 import threading
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from repro.errors import ValidationError
-from repro.network.topology import Link, NetworkTopology
+from repro.network.topology import NetworkTopology
 
 __all__ = ["EdgeDemand", "Reservation", "BandwidthLedger"]
 
@@ -67,10 +69,18 @@ class BandwidthLedger:
     The ledger is thread-safe: :meth:`reserve` validates residual capacity
     and claims every link of the route atomically under one lock, so
     concurrent admissions can never jointly over-subscribe a link.
+
+    :meth:`reserve` validates against *nominal* capacity, so a released
+    claim can always be taken back, even on a link a fault has squeezed.
+    The live residual topology subtracts reservations from the *current*
+    capacity (nominal unless :meth:`set_capacity` overrides it); callers
+    that must not over-commit a squeezed link check it before reserving.
     """
 
     def __init__(self, topology: NetworkTopology) -> None:
         self._topology = topology
+        self._residual = topology.copy()
+        self._capacity: Dict[Tuple[str, str], float] = {}
         self._reserved: Dict[Tuple[str, str], float] = {}
         self._active: Dict[int, Reservation] = {}
         self._ids = itertools.count(1)
@@ -83,7 +93,7 @@ class BandwidthLedger:
 
     @property
     def generation(self) -> int:
-        """Monotonic mutation counter (bumped on reserve / release).
+        """Monotonic mutation counter (bumped on every ledger change).
 
         Plan fingerprints embed this counter: a plan computed before a
         bandwidth reservation is never served from cache afterwards.
@@ -101,7 +111,8 @@ class BandwidthLedger:
             return self._reserved.get(_canonical(a, b), 0.0)
 
     def residual(self, a: str, b: str) -> float:
-        """Capacity remaining on one link."""
+        """Nominal capacity remaining on one link (what :meth:`reserve`
+        validates against)."""
         link = self._topology.get_link(a, b)
         return max(0.0, link.bandwidth_bps - self.reserved_on(a, b))
 
@@ -118,33 +129,24 @@ class BandwidthLedger:
             )
 
     def residual_topology(self) -> NetworkTopology:
-        """A topology whose link capacities are the current residuals.
+        """The live topology whose link capacities are the residuals.
 
-        Planning the *next* session against this topology makes earlier
-        admissions invisible except through the capacity they consumed.
-        The snapshot is taken atomically: all residuals reflect one
-        consistent ledger state even under concurrent reservations.
+        Planning the *next* session against it makes earlier admissions
+        invisible except through the capacity they consumed.  It is the
+        same object on every call, updated in place (under the ledger's
+        lock) by every reserve, release and capacity change, with its
+        ``generation`` bumped each time.  Treat it as read-only; a caller
+        that needs it frozen while other threads reserve takes a
+        :meth:`~repro.network.topology.NetworkTopology.copy`.
         """
-        residual = NetworkTopology()
-        for node in self._topology.nodes():
-            residual.add_node(node)
-        with self._lock:
-            for link in self._topology.links():
-                residual.add_link(
-                    Link(
-                        a=link.a,
-                        b=link.b,
-                        bandwidth_bps=max(
-                            0.0,
-                            link.bandwidth_bps
-                            - self._reserved.get(_canonical(link.a, link.b), 0.0),
-                        ),
-                        delay_ms=link.delay_ms,
-                        loss_rate=link.loss_rate,
-                        cost=link.cost,
-                    )
-                )
-        return residual
+        return self._residual
+
+    def _refresh(self, key: Tuple[str, str]) -> None:
+        """Rewrite one residual link (caller holds the lock)."""
+        nominal = self._topology.get_link(*key).bandwidth_bps
+        capacity = self._capacity.get(key, nominal)
+        reserved = self._reserved.get(key, 0.0)
+        self._residual.set_bandwidth(*key, max(0.0, capacity - reserved))
 
     # ------------------------------------------------------------------
     # Mutation
@@ -179,6 +181,7 @@ class BandwidthLedger:
             for a, b in pairs:
                 key = _canonical(a, b)
                 self._reserved[key] = self._reserved.get(key, 0.0) + bandwidth_bps
+                self._refresh(key)
             reservation = Reservation(
                 reservation_id=next(self._ids),
                 route=tuple(route),
@@ -238,6 +241,19 @@ class BandwidthLedger:
                     self._reserved.pop(key, None)
                 else:
                     self._reserved[key] = remaining
+                self._refresh(key)
+            self._generation += 1
+
+    def set_capacity(self, a: str, b: str, bandwidth_bps: float) -> None:
+        """Set one link's current capacity; only the residual topology
+        sees it (:meth:`reserve` keeps validating against nominal)."""
+        self._topology.get_link(a, b)  # validate the link exists
+        if not math.isfinite(bandwidth_bps) or bandwidth_bps < 0:
+            raise ValidationError("link capacity must be finite and >= 0")
+        key = _canonical(a, b)
+        with self._lock:
+            self._capacity[key] = bandwidth_bps
+            self._refresh(key)
             self._generation += 1
 
     def __len__(self) -> int:

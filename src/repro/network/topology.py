@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.errors import UnknownNodeError, ValidationError
@@ -112,7 +112,7 @@ class NetworkTopology:
 
     @property
     def generation(self) -> int:
-        """Monotonic mutation counter (bumped on node/link additions).
+        """Monotonic mutation counter (bumped by every add and set_bandwidth).
 
         Plan fingerprints embed this counter so a cached plan can never
         outlive the topology it was computed on.
@@ -164,6 +164,24 @@ class NetworkTopology:
     ) -> Link:
         """Create-and-add convenience wrapper around :meth:`add_link`."""
         return self.add_link(Link(a, b, bandwidth_bps, delay_ms, loss_rate, cost))
+
+    def set_bandwidth(self, a: str, b: str, bandwidth_bps: float) -> Link:
+        """Replace one link's bandwidth in place; every other field stays."""
+        link = replace(self.get_link(a, b), bandwidth_bps=bandwidth_bps)
+        self._links[_canonical(a, b)] = link
+        self._generation += 1
+        return link
+
+    def copy(self) -> "NetworkTopology":
+        """An independent topology with the same nodes, links and order."""
+        clone = NetworkTopology()
+        clone._nodes = dict(self._nodes)
+        clone._links = dict(self._links)
+        clone._adjacency = {
+            node: list(peers) for node, peers in self._adjacency.items()
+        }
+        clone._generation = self._generation
+        return clone
 
     # ------------------------------------------------------------------
     # Lookup

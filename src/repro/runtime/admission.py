@@ -69,6 +69,10 @@ class AdmissionController:
         self._catalog = catalog
         self._base_placement = placement
         self._ledger = BandwidthLedger(placement.topology)
+        # Planning reads the ledger's live residual topology.
+        self._placement = ServicePlacement(
+            self._ledger.residual_topology(), placement.as_dict()
+        )
         self._min_satisfaction = min_satisfaction
         self._cache = cache
         self._sessions: Dict[int, AdmittedSession] = {}
@@ -107,11 +111,8 @@ class AdmissionController:
         the cached selection, and any reserve/release in between forces a
         recompute against fresh residuals.
         """
-        residual = self._ledger.residual_topology()
-        placement = ServicePlacement(residual, self._base_placement.as_dict())
-
         def compute() -> SelectionResult:
-            graph = AdaptationGraphBuilder(self._catalog, placement).build(
+            graph = AdaptationGraphBuilder(self._catalog, self._placement).build(
                 content=content,
                 device=device,
                 sender_node=sender_node,
@@ -148,9 +149,7 @@ class AdmissionController:
         if result.satisfaction < self._min_satisfaction:
             return None
 
-        reservations = self._reserve_chain(
-            result, placement, sender_node, receiver_node
-        )
+        reservations = self._reserve_chain(result, sender_node, receiver_node)
         if reservations is None:
             return None
         with self._lock:
@@ -165,7 +164,6 @@ class AdmissionController:
     def _reserve_chain(
         self,
         result: SelectionResult,
-        placement: ServicePlacement,
         sender_node: str,
         receiver_node: str,
     ) -> Optional[List[Reservation]]:
@@ -175,9 +173,12 @@ class AdmissionController:
         requirement fits its route; reservation failures can still occur
         when two hops of the *same* chain share a link — in that case the
         partial reservations are rolled back and the session rejected.
+        Each hop routes over the live residual, which already holds the
+        hops before it.
         """
         config = result.configuration
         assert config is not None  # guaranteed by result.success
+        placement = self._placement
         taken: List[Reservation] = []
         for source, target, fmt_name in zip(
             result.path, result.path[1:], result.formats
@@ -187,7 +188,7 @@ class AdmissionController:
             if source_node == target_node:
                 route: List[str] = [source_node]
             else:
-                found = self._ledger_route(source_node, target_node, taken)
+                found = placement.topology.widest_path(source_node, target_node)
                 if found is None:
                     for reservation in taken:
                         self._ledger.release(reservation)
@@ -205,17 +206,6 @@ class AdmissionController:
                     self._ledger.release(reservation)
                 return None
         return taken
-
-    def _ledger_route(
-        self,
-        source_node: str,
-        target_node: str,
-        taken: List[Reservation],
-    ) -> Optional[List[str]]:
-        """Widest route over what is left *right now* (mid-admission)."""
-        return self._ledger.residual_topology().widest_path(
-            source_node, target_node
-        )
 
     @staticmethod
     def _node_for(

@@ -30,7 +30,7 @@ from repro.core.selection import QoSPathSelector, SelectionResult
 from repro.errors import NoPathError, ValidationError
 from repro.network.bandwidth import BandwidthEstimator, FluctuationModel
 from repro.network.placement import ServicePlacement
-from repro.network.topology import Link, NetworkTopology
+from repro.network.topology import NetworkTopology
 from repro.runtime.events import EventLog
 from repro.workloads.scenario import Scenario
 
@@ -147,22 +147,10 @@ class AdaptiveSession:
     # ------------------------------------------------------------------
     def snapshot_topology(self, time_s: float) -> NetworkTopology:
         """A copy of the topology with instantaneous link bandwidths."""
-        source = self._scenario.topology
-        snapshot = NetworkTopology()
-        for node in source.nodes():
-            snapshot.add_node(node)
-        for link in source.links():
+        snapshot = self._scenario.topology.copy()
+        for link in snapshot.links():
             factor = self._fluctuation.factor(link, time_s)
-            snapshot.add_link(
-                Link(
-                    a=link.a,
-                    b=link.b,
-                    bandwidth_bps=link.bandwidth_bps * factor,
-                    delay_ms=link.delay_ms,
-                    loss_rate=link.loss_rate,
-                    cost=link.cost,
-                )
-            )
+            snapshot.set_bandwidth(link.a, link.b, link.bandwidth_bps * factor)
         return snapshot
 
     def plan_at(self, time_s: float) -> SelectionResult:

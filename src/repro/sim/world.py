@@ -16,16 +16,18 @@ A :class:`SimWorld` owns everything the concurrent sessions contend over:
 
 Planning goes through one :class:`BatchPlanner` over the base scenario
 for the whole run.  Each call carries a
-:class:`~repro.core.graph.CatalogView`: the *effective residual* topology
-(base capacity x fault factor, minus reservations) plus the crashed and
-quarantined services to mask.  The view is rebuilt only when the fault,
-ledger or health generation (or the quarantine set) moves, and each
-rebuild clears the plan cache, so a burst of arrivals against unchanged
-state shares cached plans while plans for a past snapshot never linger.
+:class:`~repro.core.graph.CatalogView`: the ledger's *live residual*
+topology (base capacity x fault factor, minus reservations, updated in
+place by every booking and fault) plus the crashed and quarantined
+services to mask.  A new view is made only when the fault, ledger or
+health generation (or the quarantine set) moves, and each one clears the
+plan cache, so a burst of arrivals against unchanged state shares cached
+plans while plans for a past state never linger.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
@@ -35,7 +37,7 @@ from repro.core.optimizer import OptimizeMemo
 from repro.core.parameters import FRAME_RATE
 from repro.errors import ReproError, ValidationError
 from repro.network.reservations import BandwidthLedger, Reservation
-from repro.network.topology import Link, NetworkTopology
+from repro.network.topology import Link
 from repro.planner.batch import BatchPlanner, PlanRequest
 from repro.planner.cache import PlanCache
 from repro.policy.engine import PolicyEngine
@@ -68,7 +70,7 @@ class HopLease:
 
 
 class SimWorld:
-    """Fault overlay + reservations + snapshot planning over one scenario."""
+    """Fault overlay + reservations + residual planning over one scenario."""
 
     def __init__(
         self,
@@ -94,7 +96,7 @@ class SimWorld:
         self._health: Optional[HealthRegistry] = None
         self._clock: Callable[[], float] = lambda: 0.0
         # One policy engine for the whole run (when the scenario carries a
-        # policy document): its decision cache spans snapshot rebuilds,
+        # policy document): its decision cache spans view changes,
         # mirroring how the gateway keeps one engine across reloads.
         self._policy_engine: Optional[PolicyEngine] = (
             PolicyEngine(scenario.policy)
@@ -128,14 +130,15 @@ class SimWorld:
     # ------------------------------------------------------------------
     def set_link_factor(self, a: str, b: str, factor: float) -> None:
         """Scale one link's capacity; 0 kills it, 1 restores nominal."""
-        self.scenario.topology.get_link(a, b)  # validate it exists
-        if factor < 0:
-            raise ValidationError("link factor must be >= 0")
+        link = self.scenario.topology.get_link(a, b)
+        if not math.isfinite(factor) or factor < 0:
+            raise ValidationError("link factor must be finite and >= 0")
         key = _canonical(a, b)
         if factor == 1.0:
             self._factors.pop(key, None)
         else:
             self._factors[key] = factor
+        self.ledger.set_capacity(a, b, self.effective_capacity(link))
         self._generation += 1
 
     def link_factor(self, a: str, b: str) -> float:
@@ -144,10 +147,19 @@ class SimWorld:
     def fail_node(self, node_id: str) -> None:
         self.scenario.topology.get_node(node_id)
         self._down_nodes.add(node_id)
-        self._generation += 1
+        self._push_capacities(node_id)
 
     def restore_node(self, node_id: str) -> None:
+        self.scenario.topology.get_node(node_id)
         self._down_nodes.discard(node_id)
+        self._push_capacities(node_id)
+
+    def _push_capacities(self, node_id: str) -> None:
+        """Hand the ledger the effective capacity of a node's links."""
+        topology = self.scenario.topology
+        for peer in topology.neighbors(node_id):
+            link = topology.get_link(node_id, peer)
+            self.ledger.set_capacity(node_id, peer, self.effective_capacity(link))
         self._generation += 1
 
     def node_is_down(self, node_id: str) -> bool:
@@ -242,13 +254,6 @@ class SimWorld:
             _canonical(link.a, link.b), 1.0
         )
 
-    def effective_residual(self, a: str, b: str) -> float:
-        """Effective capacity minus current reservations, floored at 0."""
-        link = self.scenario.topology.get_link(a, b)
-        return max(
-            0.0, self.effective_capacity(link) - self.ledger.reserved_on(a, b)
-        )
-
     def supply_fraction(self, route: Tuple[str, ...]) -> float:
         """How much of its reserved bandwidth a stream on ``route`` gets.
 
@@ -269,37 +274,15 @@ class SimWorld:
         return fraction
 
     # ------------------------------------------------------------------
-    # Snapshot planning
+    # Planning on the live residual
     # ------------------------------------------------------------------
-    def effective_topology(self) -> NetworkTopology:
-        """A fresh topology whose capacities are the effective residuals."""
-        snapshot = NetworkTopology()
-        for node in self.scenario.topology.nodes():
-            snapshot.add_node(node)
-        for link in self.scenario.topology.links():
-            snapshot.add_link(
-                Link(
-                    a=link.a,
-                    b=link.b,
-                    bandwidth_bps=max(
-                        0.0,
-                        self.effective_capacity(link)
-                        - self.ledger.reserved_on(link.a, link.b),
-                    ),
-                    delay_ms=link.delay_ms,
-                    loss_rate=link.loss_rate,
-                    cost=link.cost,
-                )
-            )
-        return snapshot
-
     def _snapshot_view(self) -> CatalogView:
         """The view for the current (fault, ledger, health) state.
 
-        Rebuilt lazily whenever a generation or the quarantine set moves;
-        a rebuild clears the plan cache, because no plan of the previous
-        snapshot can hit again.  The shared optimize memo carries solved
-        relaxations across rebuilds.
+        Remade lazily whenever a generation or the quarantine set moves;
+        each new view clears the plan cache, because no plan of the
+        previous state can hit again.  The shared optimize memo carries
+        solved relaxations across views.
         """
         quarantined: frozenset = frozenset()
         health_generation = 0
@@ -320,7 +303,7 @@ class SimWorld:
                     if self.service_is_down(descriptor.service_id)
                 )
                 | quarantined,
-                topology=self.effective_topology(),
+                topology=self.ledger.residual_topology(),
             )
             self._view_key = key
             self._planner.cache.clear()
@@ -351,9 +334,10 @@ class SimWorld:
     ) -> Optional[List[HopLease]]:
         """Reserve every hop of a successful plan; all-or-nothing.
 
-        Each hop routes along the widest path of the *current* effective
-        residual topology and must fit entirely; on any failure the hops
-        already taken are rolled back and ``None`` is returned.
+        Each hop routes along the widest path of the live residual
+        topology (which already holds the hops before it) and must fit
+        entirely; on any failure the hops already taken are rolled back
+        and ``None`` is returned.
         """
         config = plan.result.configuration
         assert config is not None  # guaranteed by plan.success
@@ -367,7 +351,7 @@ class SimWorld:
             if source_node == target_node:
                 route: Optional[List[str]] = [source_node]
             else:
-                route = self.effective_topology().widest_path(
+                route = self.ledger.residual_topology().widest_path(
                     source_node, target_node
                 )
             fmt = self.scenario.registry.get(fmt_name)
@@ -395,17 +379,13 @@ class SimWorld:
         return leases
 
     def _fits(self, route: List[str], requirement: float) -> bool:
-        """Does the route's *effective* residual carry the requirement?
+        """Does the route's live residual carry the requirement?
 
-        The ledger itself only validates against nominal capacity, so this
-        extra check keeps fault-squeezed links from being over-committed
-        at admission time.
+        The ledger validates against nominal capacity, so this extra check
+        keeps fault-squeezed links from being over-committed at admission.
         """
-        slack = 1.0 + 1e-9
-        return all(
-            self.effective_residual(a, b) * slack >= requirement
-            for a, b in zip(route, route[1:])
-        )
+        residual = self.ledger.residual_topology()
+        return residual.path_bottleneck(route) * (1.0 + 1e-9) >= requirement
 
     def release(self, leases: List[HopLease]) -> None:
         """Return every lease's bandwidth to the ledger."""

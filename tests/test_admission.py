@@ -81,6 +81,39 @@ class TestBandwidthLedger:
             small_topology().get_link("a", "b").delay_ms
         )
 
+    def test_residual_topology_is_one_live_object(self):
+        ledger = BandwidthLedger(small_topology())
+        residual = ledger.residual_topology()
+        reservation = ledger.reserve(["a", "b"], 4e6)
+        assert ledger.residual_topology() is residual
+        assert residual.get_link("a", "b").bandwidth_bps == 6e6
+        ledger.release(reservation)
+        assert residual.get_link("a", "b").bandwidth_bps == 10e6
+
+    def test_set_capacity_moves_the_residual_not_the_validation(self):
+        ledger = BandwidthLedger(small_topology())
+        generation = ledger.generation
+        ledger.set_capacity("a", "b", 3e6)
+        assert ledger.generation > generation
+        ledger.reserve(["a", "b"], 2e6)
+        assert ledger.residual_topology().get_link("a", "b").bandwidth_bps == 1e6
+        # reserve validates against nominal capacity (10e6), not 3e6.
+        ledger.reserve(["a", "b"], 5e6)
+        assert ledger.residual_topology().get_link("a", "b").bandwidth_bps == 0.0
+        assert ledger.residual("a", "b") == pytest.approx(3e6)
+
+    @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf, -math.inf])
+    def test_set_capacity_rejects_negative_and_non_finite(self, bad):
+        ledger = BandwidthLedger(small_topology())
+        with pytest.raises(ValidationError):
+            ledger.set_capacity("a", "b", bad)
+        assert ledger.residual_topology().get_link("a", "b").bandwidth_bps == 10e6
+        assert ledger.generation == 0
+
+    def test_set_capacity_unknown_link_raises(self):
+        with pytest.raises(Exception):
+            BandwidthLedger(small_topology()).set_capacity("a", "c", 1e6)
+
     def test_unknown_link_query_raises(self):
         ledger = BandwidthLedger(small_topology())
         with pytest.raises(Exception):
@@ -134,6 +167,36 @@ class TestAdmissionOnFigure6:
             satisfactions.append(session.satisfaction)
         assert len(satisfactions) >= 3
         assert satisfactions == sorted(satisfactions, reverse=True)
+
+    def test_e16_ladder_is_pinned(self):
+        """The full ``benchmarks/results/admission.txt`` ladder (floor 0.10)."""
+        scenario, controller = self._controller(min_satisfaction=0.10)
+        ladder = [
+            (("sender", "T7", "receiver"), 0.658),
+            (("sender", "T8", "receiver"), 0.533),
+            (("sender", "T6", "receiver"), 0.517),
+            (("sender", "T10", "T20", "receiver"), 0.507),
+            (("sender", "T10", "receiver"), 0.493),
+            (("sender", "T1", "T11", "receiver"), 0.417),
+            (("sender", "T2", "T13", "receiver"), 0.413),
+            (("sender", "T3", "T14", "receiver"), 0.407),
+            (("sender", "T2", "T12", "receiver"), 0.350),
+        ]
+        admitted = []
+        for path, satisfaction in ladder:
+            session = self._admit(scenario, controller)
+            assert session is not None
+            assert (session.result.path, round(session.satisfaction, 3)) == (
+                path,
+                satisfaction,
+            )
+            admitted.append(session)
+        assert self._admit(scenario, controller) is None
+        controller.teardown(admitted[0].session_id)
+        revived = self._admit(scenario, controller)
+        assert revived is not None
+        assert revived.result.path == ("sender", "T7", "receiver")
+        assert round(revived.satisfaction, 3) == 0.658
 
     def test_satisfaction_floor_rejects(self):
         scenario, controller = self._controller(min_satisfaction=0.6)

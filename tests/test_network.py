@@ -93,6 +93,55 @@ class TestTopologyConstruction:
             topology.neighbors("ghost")
 
 
+class TestInPlaceUpdates:
+    def test_set_bandwidth_replaces_one_link(self):
+        topology = diamond_topology()
+        before = topology.get_link("a", "b")
+        generation = topology.generation
+        updated = topology.set_bandwidth("b", "a", 1e6)
+        assert topology.generation == generation + 1
+        assert topology.get_link("a", "b") is updated
+        assert updated == Link("a", "b", 1e6, delay_ms=10.0, cost=2.0)
+        assert before.bandwidth_bps == 10e6  # links stay immutable
+        assert [link.endpoints() for link in topology.links()] == [
+            ("a", "b"), ("b", "d"), ("a", "c"), ("c", "d"),
+        ]
+        assert topology.widest_path("a", "d") == ["a", "c", "d"]
+
+    def test_set_bandwidth_unknown_link_raises(self):
+        topology = diamond_topology()
+        generation = topology.generation
+        with pytest.raises(UnknownNodeError):
+            topology.set_bandwidth("a", "d", 1e6)
+        with pytest.raises(UnknownNodeError):
+            topology.set_bandwidth("a", "ghost", 1e6)
+        assert topology.generation == generation
+
+    def test_set_bandwidth_rejects_negative(self):
+        topology = diamond_topology()
+        generation = topology.generation
+        with pytest.raises(ValidationError):
+            topology.set_bandwidth("a", "b", -1.0)
+        assert topology.get_link("a", "b").bandwidth_bps == 10e6
+        assert topology.generation == generation
+
+    def test_copy_is_equal_and_independent(self):
+        topology = diamond_topology()
+        clone = topology.copy()
+        assert clone.nodes() == topology.nodes()
+        assert clone.links() == topology.links()
+        for node_id in topology.node_ids():
+            assert clone.neighbors(node_id) == topology.neighbors(node_id)
+        clone.set_bandwidth("a", "b", 1.0)
+        clone.node("e")
+        clone.link("d", "e", 1e6)
+        assert topology.get_link("a", "b").bandwidth_bps == 10e6
+        assert "e" not in topology
+        assert topology.neighbors("d") == ["b", "c"]
+        topology.set_bandwidth("c", "d", 5.0)
+        assert clone.get_link("c", "d").bandwidth_bps == 2e6
+
+
 class TestRouting:
     def test_widest_path_prefers_fat_route(self):
         topology = diamond_topology()

@@ -116,6 +116,7 @@ def test_concurrent_admission_never_oversubscribes_links():
     assert len(ledger) == 0
     for a, b in expected:
         assert ledger.reserved_on(a, b) == 0.0
+    assert ledger.residual_topology().links() == scenario.topology.links()
 
 
 def test_concurrent_reserve_release_keeps_ledger_consistent():
@@ -145,6 +146,8 @@ def test_concurrent_reserve_release_keeps_ledger_consistent():
     assert len(ledger) == 0
     assert ledger.reserved_on(link.a, link.b) == 0.0
     assert ledger.residual(link.a, link.b) == link.bandwidth_bps
+    live = ledger.residual_topology().get_link(link.a, link.b)
+    assert live.bandwidth_bps == link.bandwidth_bps
 
 
 def test_deterministic_plans_across_thread_counts():

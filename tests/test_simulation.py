@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
-from repro.errors import ValidationError
+from repro.errors import UnknownNodeError, ValidationError
+from repro.planner.batch import PlanRequest
 from repro.sim import (
     FlashCrowd,
     LinkDegradation,
@@ -260,6 +262,69 @@ class TestFaults:
             RegionalOutage(nodes=[], start_s=0.0, duration_s=1.0)
         with pytest.raises(ValidationError):
             FlashCrowd(start_s=0.0, sessions=0)
+
+
+class TestWorldResidual:
+    def _request(self, scenario):
+        return PlanRequest(
+            content=scenario.content,
+            device=scenario.device,
+            user=scenario.user,
+            sender_node=scenario.sender_node,
+            receiver_node=scenario.receiver_node,
+        )
+
+    @pytest.mark.parametrize("factor", [math.nan, math.inf, -math.inf, -0.5])
+    def test_link_factor_must_be_finite_and_non_negative(
+        self, small_scenario, factor
+    ):
+        world = SimWorld(small_scenario)
+        link = small_scenario.topology.links()[0]
+        with pytest.raises(ValidationError):
+            world.set_link_factor(link.a, link.b, factor)
+        assert world.link_factor(link.a, link.b) == 1.0
+        assert world.generation == 0
+        residual = world.ledger.residual_topology().get_link(link.a, link.b)
+        assert residual.bandwidth_bps == link.bandwidth_bps
+
+    def test_unknown_node_raises_on_fail_and_restore(self, small_scenario):
+        world = SimWorld(small_scenario)
+        with pytest.raises(UnknownNodeError):
+            world.fail_node("ghost")
+        with pytest.raises(UnknownNodeError):
+            world.restore_node("ghost")
+        assert world.generation == 0
+
+    def test_squeezed_link_refuses_new_plans_but_takes_the_old_chain_back(
+        self, small_scenario
+    ):
+        world = SimWorld(small_scenario)
+        request = self._request(small_scenario)
+        plan = world.plan(request)
+        leases = world.reserve_plan(plan, request)
+        assert leases is not None
+        load = max(lease.reservation.bandwidth_bps for lease in leases)
+        # Squeeze every link out of the sender below the chain's load:
+        # any route a new plan could take now crosses a squeezed link.
+        sender = small_scenario.sender_node
+        for peer in small_scenario.topology.neighbors(sender):
+            nominal = small_scenario.topology.get_link(sender, peer).bandwidth_bps
+            world.set_link_factor(sender, peer, 0.5 * load / nominal)
+        world.release(leases)
+        assert world.reserve_plan(plan, request) is None
+        assert len(world.ledger) == 0
+        # The ledger validates against nominal capacity, so the released
+        # chain can be taken back, at a degraded supply.
+        taken = [
+            world.ledger.reserve(
+                list(lease.route), lease.reservation.bandwidth_bps
+            )
+            for lease in leases
+        ]
+        assert len(world.ledger) == len(leases)
+        assert min(world.supply_fraction(lease.route) for lease in leases) < 1.0
+        for reservation in taken:
+            world.ledger.release(reservation)
 
 
 class TestHorizonAndBounds:
