@@ -14,7 +14,7 @@ selection algorithm chooses (Section 4.4).  Configurations know how to
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterator, Mapping, Optional
+from typing import TYPE_CHECKING, Dict, Iterator, Mapping, Optional, Tuple
 
 from repro.core.parameters import (
     AUDIO_QUALITY,
@@ -27,13 +27,44 @@ from repro.errors import UnknownParameterError, ValidationError
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (formats imports us)
     from repro.formats.format import MediaFormat
 
-__all__ = ["Configuration"]
+__all__ = ["Configuration", "FIT_SLACK", "fits_within", "required_bandwidth_of"]
+
+#: Relative tolerance of Equation 2: a requirement fits a bandwidth when
+#: ``required <= bandwidth * FIT_SLACK``.  It absorbs floating-point noise
+#: from the optimizer's bandwidth inversion and from exact-fit reservations.
+FIT_SLACK = 1.0 + 1e-9
+
+
+def fits_within(required_bps: float, bandwidth_bps: float) -> bool:
+    """Equation 2 with its tolerance: does ``bandwidth_bps`` carry
+    ``required_bps``?
+
+    The one fit test of the optimizer, its memo, the bandwidth ledger and
+    the simulator, so a link carries a stream in all of them or in none.
+    """
+    return required_bps <= bandwidth_bps * FIT_SLACK
+
+
+def required_bandwidth_of(values: Mapping[str, float], fmt: "MediaFormat") -> float:
+    """Bits/second needed to carry ``values`` in ``fmt`` (Equation 2's
+    left-hand side).
+
+    Missing parameters default to 0, so a pure-audio assignment in a video
+    format contributes only its audio term.  :meth:`Configuration.
+    required_bandwidth` is this function on the configuration's values.
+    """
+    return fmt.required_bandwidth(
+        frame_rate=values.get(FRAME_RATE, 0.0),
+        resolution_pixels=values.get(RESOLUTION, 0.0),
+        color_depth=values.get(COLOR_DEPTH, 0.0),
+        audio_kbps=values.get(AUDIO_QUALITY, 0.0),
+    )
 
 
 class Configuration(Mapping[str, float]):
     """An immutable mapping of QoS parameter names to values."""
 
-    __slots__ = ("_values",)
+    __slots__ = ("_values", "_items_key")
 
     def __init__(self, values: Mapping[str, float]) -> None:
         if not values:
@@ -47,6 +78,7 @@ class Configuration(Mapping[str, float]):
                 )
             clean[name] = fvalue
         self._values = clean
+        self._items_key: Optional[Tuple[Tuple[str, float], ...]] = None
 
     # ------------------------------------------------------------------
     # Mapping protocol
@@ -76,6 +108,19 @@ class Configuration(Mapping[str, float]):
     def __repr__(self) -> str:
         inner = ", ".join(f"{k}={v:g}" for k, v in sorted(self._values.items()))
         return f"Configuration({inner})"
+
+    def items_key(self) -> Tuple[Tuple[str, float], ...]:
+        """The ``(name, value)`` pairs in assignment order, as a hashable key.
+
+        The order is part of the key: the optimizer breaks degrade-order
+        ties by it, so two equal configurations assigned in different
+        orders can optimize differently.  Computed once: a configuration
+        never changes, and the optimize memo keys every call by its
+        upstream configuration.
+        """
+        if self._items_key is None:
+            self._items_key = tuple(self._values.items())
+        return self._items_key
 
     # ------------------------------------------------------------------
     # Quality ordering
@@ -116,26 +161,17 @@ class Configuration(Mapping[str, float]):
     # Bandwidth (Equation 2, left-hand side)
     # ------------------------------------------------------------------
     def required_bandwidth(self, fmt: "MediaFormat") -> float:
-        """Bits/second needed to carry this configuration in ``fmt``.
-
-        Missing parameters default to 0, so a pure-audio configuration in a
-        video format contributes only its audio term.
-        """
-        return fmt.required_bandwidth(
-            frame_rate=self._values.get(FRAME_RATE, 0.0),
-            resolution_pixels=self._values.get(RESOLUTION, 0.0),
-            color_depth=self._values.get(COLOR_DEPTH, 0.0),
-            audio_kbps=self._values.get(AUDIO_QUALITY, 0.0),
-        )
+        """Bits/second needed to carry this configuration in ``fmt``
+        (see :func:`required_bandwidth_of`)."""
+        return required_bandwidth_of(self._values, fmt)
 
     def fits_bandwidth(self, fmt: "MediaFormat", bandwidth_bps: float) -> bool:
         """Whether this configuration satisfies Equation 2 for a link.
 
-        A tiny relative tolerance absorbs floating-point noise from the
-        bandwidth inversion used by the optimizer.
+        The requirement may exceed the bandwidth by the relative
+        :data:`FIT_SLACK`.
         """
-        required = self.required_bandwidth(fmt)
-        return required <= bandwidth_bps * (1.0 + 1e-9)
+        return fits_within(self.required_bandwidth(fmt), bandwidth_bps)
 
     # ------------------------------------------------------------------
     # Convenience accessors

@@ -56,7 +56,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.core.configuration import Configuration
+from repro.core.configuration import Configuration, fits_within, required_bandwidth_of
 from repro.core.parameters import DiscreteDomain, ParameterSet
 from repro.core.satisfaction import CombinedSatisfaction
 from repro.errors import UnknownParameterError, ValidationError
@@ -73,9 +73,6 @@ __all__ = [
 #: Bisection iterations for the quality-ray phase; 2^-60 of the parameter
 #: range is far below any displayed precision.
 _BISECTION_STEPS = 60
-
-#: Relative tolerance when comparing a requirement against a bandwidth.
-_FIT_SLACK = 1.0 + 1e-9
 
 
 @dataclass(frozen=True)
@@ -104,7 +101,11 @@ class OptimizedChoice:
 
 @dataclass(frozen=True)
 class OptimizeMemoStats:
-    """One consistent snapshot of the optimize-memo counters."""
+    """One consistent snapshot of the optimize-memo counters.
+
+    ``entries`` is the memo's size in the unit its bound counts (see
+    :class:`OptimizeMemo`).
+    """
 
     hits: int = 0
     misses: int = 0
@@ -123,22 +124,61 @@ class OptimizeMemoStats:
         return self.hits / self.lookups
 
 
+class _MemoEntry:
+    """Everything the memo knows for one (context, upstream, caps, format).
+
+    ``ceiling`` is the answer at the configuration ceiling (upstream capped
+    by the caps), ``None`` when no feasible value exists at all.  ``below``
+    holds the answers for bandwidths that cannot carry the ceiling, keyed
+    by the exact bandwidth.
+    """
+
+    __slots__ = ("ceiling", "below")
+
+    def __init__(self, ceiling: Optional[OptimizedChoice]) -> None:
+        self.ceiling = ceiling
+        self.below: Dict[float, Optional[OptimizedChoice]] = {}
+
+    def carries(self, bandwidth_bps: float) -> bool:
+        """Whether the ceiling answer is the answer at ``bandwidth_bps``.
+
+        With no feasible ceiling every bandwidth answers ``None``; otherwise
+        the ceiling is the answer exactly when it satisfies Equation 2
+        (the :meth:`Configuration.fits_bandwidth` test).
+        """
+        ceiling = self.ceiling
+        return ceiling is None or fits_within(
+            ceiling.required_bandwidth_bps, bandwidth_bps
+        )
+
+    @property
+    def weight(self) -> int:
+        return max(1, len(self.below))
+
+
 class OptimizeMemo:
     """A bounded, thread-safe memo of :meth:`ConfigurationOptimizer.optimize`
     results.
 
     ``optimize()`` is a pure function of the constraint tuple *and* of the
     optimizer's own identity (parameter domains, satisfaction functions,
-    degrade order), so entries are keyed by an interned fingerprint over
-    both.  That makes one memo safely shareable across every selector run
-    of a :class:`~repro.planner.batch.BatchPlanner`: two sessions for
-    different users never collide (different context fingerprints), while
-    sessions over the same infrastructure reuse each other's solved
-    relaxations — including negative results (``None`` — "this edge cannot
-    carry the stream" — is memoized too).
+    degrade order).  Entries are keyed by an interned fingerprint over the
+    identity and every constraint *except the bandwidth*: the answer does
+    not depend on the bandwidth whenever the link carries the ceiling
+    configuration, and residual bandwidths move with every booking.  Each
+    entry stores the ceiling answer, which serves every bandwidth that
+    carries it, plus the answers for the bandwidths below it.  That makes
+    one memo safely shareable across every selector run of a
+    :class:`~repro.planner.batch.BatchPlanner`: two sessions for different
+    users never collide (different context fingerprints), while sessions
+    over the same infrastructure reuse each other's solved relaxations —
+    including negative results (``None`` — "this edge cannot carry the
+    stream" — is memoized too).
 
-    The LRU bound keeps memory flat under open-ended traffic; eviction
-    only costs recomputation, never correctness.
+    Every :meth:`lookup` counts as exactly one hit or one miss.  The LRU
+    bound counts an entry as ``max(1, answers below its ceiling)``, so
+    memory stays flat under open-ended traffic; eviction only costs
+    recomputation, never correctness.
     """
 
     _MISS = object()
@@ -148,7 +188,8 @@ class OptimizeMemo:
             raise ValidationError("OptimizeMemo needs max_entries >= 1")
         self._max_entries = max_entries
         self._lock = threading.Lock()
-        self._entries: "OrderedDict[Tuple, Optional[OptimizedChoice]]" = OrderedDict()
+        self._entries: "OrderedDict[Tuple, _MemoEntry]" = OrderedDict()
+        self._weight = 0
         self._hits = 0
         self._misses = 0
         self._evictions = 0
@@ -157,17 +198,24 @@ class OptimizeMemo:
     def max_entries(self) -> int:
         return self._max_entries
 
-    def lookup(self, key: Tuple) -> object:
-        """The memoized result for ``key``, or the :attr:`_MISS` sentinel.
+    def lookup(self, key: Tuple, bandwidth_bps: float) -> object:
+        """The memoized result for ``key`` at ``bandwidth_bps``, or the
+        :attr:`_MISS` sentinel.
 
         The sentinel (exposed via :meth:`is_miss`) distinguishes "never
         solved" from the legitimately memoized ``None`` result.
         """
         with self._lock:
-            if key in self._entries:
-                self._entries.move_to_end(key)
-                self._hits += 1
-                return self._entries[key]
+            entry = self._entries.get(key)
+            if entry is not None:
+                if entry.carries(bandwidth_bps):
+                    answer = entry.ceiling
+                else:
+                    answer = entry.below.get(bandwidth_bps, self._MISS)
+                if answer is not self._MISS:
+                    self._entries.move_to_end(key)
+                    self._hits += 1
+                    return answer
             self._misses += 1
             return self._MISS
 
@@ -175,17 +223,39 @@ class OptimizeMemo:
     def is_miss(cls, value: object) -> bool:
         return value is cls._MISS
 
-    def store(self, key: Tuple, choice: Optional[OptimizedChoice]) -> None:
+    def store(
+        self,
+        key: Tuple,
+        ceiling: Optional[OptimizedChoice],
+        bandwidth_bps: float,
+        choice: Optional[OptimizedChoice],
+    ) -> None:
+        """Record ``choice``, the answer at ``bandwidth_bps``, under ``key``.
+
+        ``ceiling`` is the key's ceiling answer; it is kept from the first
+        store of the key.  ``choice`` is kept only when the bandwidth
+        cannot carry the ceiling (otherwise it *is* the ceiling answer).
+        """
         with self._lock:
-            self._entries[key] = choice
-            self._entries.move_to_end(key)
-            while len(self._entries) > self._max_entries:
-                self._entries.popitem(last=False)
+            entry = self._entries.get(key)
+            if entry is None:
+                entry = self._entries[key] = _MemoEntry(ceiling)
+                self._weight += 1
+            else:
+                self._entries.move_to_end(key)
+            if not entry.carries(bandwidth_bps) and bandwidth_bps not in entry.below:
+                self._weight -= entry.weight
+                entry.below[bandwidth_bps] = choice
+                self._weight += entry.weight
+            while self._weight > self._max_entries:
+                _, evicted = self._entries.popitem(last=False)
+                self._weight -= evicted.weight
                 self._evictions += 1
 
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
+            self._weight = 0
 
     @property
     def stats(self) -> OptimizeMemoStats:
@@ -194,12 +264,13 @@ class OptimizeMemo:
                 hits=self._hits,
                 misses=self._misses,
                 evictions=self._evictions,
-                entries=len(self._entries),
+                entries=self._weight,
             )
 
     def __len__(self) -> int:
+        """The memo's size in the unit :attr:`max_entries` bounds."""
         with self._lock:
-            return len(self._entries)
+            return self._weight
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         snapshot = self.stats
@@ -243,18 +314,30 @@ class ConfigurationOptimizer:
         the link bandwidth — the edge is unusable for this stream.  With a
         memo attached, a constraint tuple solved before (by *any* optimizer
         sharing the memo and this optimizer's context fingerprint) returns
-        the stored answer without re-running the four phases.
+        the stored answer without re-running the four phases, and so does
+        any bandwidth that carries the ceiling of an (upstream, caps,
+        format) solved before at some other bandwidth.
         """
         self.optimize_calls += 1
         if self._memo is None:
             return self._optimize_fresh(constraints)
         key = self._memo_key(constraints)
-        cached = self._memo.lookup(key)
+        bandwidth = constraints.bandwidth_bps
+        cached = self._memo.lookup(key, bandwidth)
         if not OptimizeMemo.is_miss(cached):
             self.memo_hits += 1
             return cached  # type: ignore[return-value]
-        choice = self._optimize_fresh(constraints)
-        self._memo.store(key, choice)
+        upper = self._upper_bounds(constraints)
+        if upper is None:
+            self._memo.store(key, None, bandwidth, None)
+            return None
+        fmt = constraints.fmt
+        ceiling = self._choice(Configuration(upper), fmt)
+        if fits_within(ceiling.required_bandwidth_bps, bandwidth):
+            choice: Optional[OptimizedChoice] = ceiling
+        else:
+            choice = self._optimize_below_ceiling(upper, fmt, bandwidth)
+        self._memo.store(key, ceiling, bandwidth, choice)
         return choice
 
     def _optimize_fresh(
@@ -264,11 +347,15 @@ class ConfigurationOptimizer:
         if upper is None:
             return None
         fmt, bandwidth = constraints.fmt, constraints.bandwidth_bps
-
         config = Configuration(upper)
         if config.fits_bandwidth(fmt, bandwidth):
             return self._choice(config, fmt)
+        return self._optimize_below_ceiling(upper, fmt, bandwidth)
 
+    def _optimize_below_ceiling(
+        self, upper: Dict[str, float], fmt: MediaFormat, bandwidth: float
+    ) -> Optional[OptimizedChoice]:
+        """The four phases, for a bandwidth that cannot carry ``upper``."""
         lower = self._lower_bounds(upper)
         floor_config = Configuration(lower)
         if not floor_config.fits_bandwidth(fmt, bandwidth):
@@ -301,7 +388,8 @@ class ConfigurationOptimizer:
     # Memo fingerprints
     # ------------------------------------------------------------------
     def _memo_key(self, constraints: OptimizationConstraints) -> Tuple:
-        """An interned fingerprint of (optimizer identity, constraints).
+        """An interned fingerprint of (optimizer identity, constraints),
+        without the bandwidth (see :class:`OptimizeMemo`).
 
         The context part is computed once per optimizer and reused for
         every call — the expensive satisfaction/domain keys are never
@@ -311,10 +399,9 @@ class ConfigurationOptimizer:
             self._context_key = self._build_context_key()
         return (
             self._context_key,
-            tuple(sorted(constraints.upstream.items())),
+            constraints.upstream.items_key(),
             tuple(sorted(constraints.caps.items())),
             constraints.fmt.cache_key(),
-            constraints.bandwidth_bps,
         )
 
     def _build_context_key(self) -> Tuple:
@@ -414,16 +501,18 @@ class ConfigurationOptimizer:
         preference = set(self._satisfaction.parameter_names())
         moving = [n for n in start if n in preference]
 
-        def at(t: float) -> Configuration:
+        def at(t: float) -> Dict[str, float]:
+            # Plain values, floated as Configuration() would: the 60 probes
+            # need only Equation 2, not a validated configuration each.
             values = start.as_dict()
             for name in moving:
                 raw = lower[name] + t * (start[name] - lower[name])
                 snapped = self._parameters[name].clamp_down(raw)
-                values[name] = lower[name] if snapped is None else snapped
-            return Configuration(values)
+                values[name] = float(lower[name] if snapped is None else snapped)
+            return values
 
         low_t, high_t = 0.0, 1.0
-        if at(0.0).required_bandwidth(fmt) > bandwidth * _FIT_SLACK:
+        if not fits_within(required_bandwidth_of(at(0.0), fmt), bandwidth):
             # Even the floor does not fit with the free parameters as they
             # are; push them to their lower bounds too and retry from there.
             values = start.as_dict()
@@ -431,15 +520,15 @@ class ConfigurationOptimizer:
                 if name not in preference:
                     values[name] = lower[name]
             start = Configuration(values)
-            if at(0.0).required_bandwidth(fmt) > bandwidth * _FIT_SLACK:
-                return at(0.0)
+            if not fits_within(required_bandwidth_of(at(0.0), fmt), bandwidth):
+                return Configuration(at(0.0))
         for _ in range(_BISECTION_STEPS):
             mid = (low_t + high_t) / 2.0
-            if at(mid).fits_bandwidth(fmt, bandwidth):
+            if fits_within(required_bandwidth_of(at(mid), fmt), bandwidth):
                 low_t = mid
             else:
                 high_t = mid
-        return at(low_t)
+        return Configuration(at(low_t))
 
     # ------------------------------------------------------------------
     # Phase 3: greedy polish

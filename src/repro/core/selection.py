@@ -565,24 +565,15 @@ class QoSPathSelector:
         stats: Optional[SelectionStats] = None,
     ) -> SelectionResult:
         # Step 10: print the reverse path by following the "previous" links
-        # from the receiver.  Caution: a settled service on the winning
-        # path may itself have been settled via a *different* parent than
-        # the winning path uses — but the winning entry's path tuple was
-        # recorded when its satisfaction was computed, and every service on
-        # it was settled (only settled services feed consider()), so the
-        # via-format walk below follows the recorded winning chain.
+        # from the receiver.  consider() only extends *settled* entries
+        # (``path = parent.path + (target,)``), and a settled entry never
+        # changes, so every parent's path is exactly its child's path minus
+        # the last hop: the walk below retraces ``receiver_entry.path``.
         via: List[str] = []
         current = receiver_entry
         while current.parent_id is not None:
             via.append(current.via_format)  # type: ignore[arg-type]
-            parent = settled[current.parent_id]
-            if parent.path != current.path[:-1]:
-                # The parent settled along a different route than the one
-                # this entry's satisfaction was computed against.  The
-                # satisfactions are equal or better along the settled route
-                # (entries only improve), so the settled route is reported.
-                pass
-            current = parent
+            current = settled[current.parent_id]
         via.reverse()
         return SelectionResult(
             success=True,

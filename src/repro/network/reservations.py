@@ -25,6 +25,7 @@ import threading
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
+from repro.core.configuration import fits_within
 from repro.errors import ValidationError
 from repro.network.topology import NetworkTopology
 
@@ -165,15 +166,14 @@ class BandwidthLedger:
         link lacks residual capacity — and in that case reserves nothing
         (all-or-nothing semantics).
         """
-        if bandwidth_bps < 0:
-            raise ValidationError("cannot reserve negative bandwidth")
+        if bandwidth_bps < 0 or math.isnan(bandwidth_bps):
+            raise ValidationError(f"cannot reserve {bandwidth_bps} bps")
         if not route:
             raise ValidationError("route must contain at least one node")
         pairs = list(zip(route, route[1:]))
-        slack = 1.0 + 1e-9  # absorb float noise from exact-fit planning
         with self._lock:
             for a, b in pairs:
-                if self.residual(a, b) * slack < bandwidth_bps:
+                if not fits_within(bandwidth_bps, self.residual(a, b)):
                     raise ValidationError(
                         f"link {a}--{b} has {self.residual(a, b):.0f} bps "
                         f"residual, cannot reserve {bandwidth_bps:.0f}"

@@ -100,7 +100,7 @@ class BatchPlanner:
         self._record_trace = record_trace
         # One optimize() memo shared by every planned session: distinct
         # sessions over the same infrastructure repeat the same
-        # (upstream, caps, format, bandwidth) relaxations, so solved
+        # (upstream, caps, format) relaxations, so solved ceilings and
         # bisections transfer across the whole batch.
         self._optimize_memo = (
             optimize_memo if optimize_memo is not None else OptimizeMemo()

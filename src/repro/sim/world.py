@@ -32,6 +32,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.core.configuration import fits_within
 from repro.core.graph import CatalogView
 from repro.core.optimizer import OptimizeMemo
 from repro.core.parameters import FRAME_RATE
@@ -385,7 +386,7 @@ class SimWorld:
         keeps fault-squeezed links from being over-committed at admission.
         """
         residual = self.ledger.residual_topology()
-        return residual.path_bottleneck(route) * (1.0 + 1e-9) >= requirement
+        return fits_within(requirement, residual.path_bottleneck(route))
 
     def release(self, leases: List[HopLease]) -> None:
         """Return every lease's bandwidth to the ledger."""

@@ -70,6 +70,16 @@ class TestBandwidthLedger:
         with pytest.raises(ValidationError):
             BandwidthLedger(small_topology()).reserve(["a", "b"], -1.0)
 
+    @pytest.mark.parametrize("route", [["a", "b"], ["a"]])
+    def test_nan_bandwidth_rejected(self, route):
+        # NaN passes a "< 0" check; reserved on a link it would pin the
+        # residual at 0 for good.
+        ledger = BandwidthLedger(small_topology())
+        with pytest.raises(ValidationError):
+            ledger.reserve(route, math.nan)
+        assert len(ledger) == 0
+        assert ledger.residual("a", "b") == 10e6
+
     def test_residual_topology_reflects_reservations(self):
         ledger = BandwidthLedger(small_topology())
         ledger.reserve(["a", "b"], 4e6)

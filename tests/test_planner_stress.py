@@ -8,7 +8,10 @@ Many threads hammer one :class:`PlanCache` and one
   fingerprint got the *same* plan object (no torn entries);
 - ledger: per-link reserved bandwidth equals the sum over active
   reservations, no link exceeds capacity, and releasing everything drains
-  the table to zero.
+  the table to zero;
+- optimize memo: every ``Optimize()`` call of every plan is exactly one
+  memo hit or miss, the memo never exceeds its bound, and its answers
+  leave every plan equal to the memo-free one.
 """
 
 from __future__ import annotations
@@ -16,6 +19,8 @@ from __future__ import annotations
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
+from repro.core.graph import CatalogView
+from repro.core.optimizer import OptimizeMemo
 from repro.network.reservations import BandwidthLedger
 from repro.planner import BatchPlanner, PlanCache, synthetic_requests
 from repro.runtime.admission import AdmissionController
@@ -65,6 +70,57 @@ def test_concurrent_cache_is_single_flight_and_untorn():
     assert stats.hits + stats.misses == total
     assert stats.misses == n_distinct
     assert stats.entries == n_distinct
+
+
+def test_concurrent_shared_memo_counts_every_call_and_stays_bounded():
+    scenario = _scenario(seed=9)
+    memo = OptimizeMemo(max_entries=24)
+    planner = BatchPlanner.for_scenario(
+        scenario, cache=PlanCache(), optimize_memo=memo
+    )
+    requests = synthetic_requests(scenario, 4, 4)
+
+    def scaled_view(thread_index):
+        # Each thread plans on its own bandwidths, so the threads share
+        # memo keys at different bandwidths (some above, some below the
+        # ceilings) and no two plans share a cache fingerprint.
+        topology = scenario.topology.copy()
+        scale = 0.25 + 0.125 * thread_index
+        for link in topology.links():
+            topology.set_bandwidth(link.a, link.b, link.bandwidth_bps * scale)
+        return CatalogView(topology=topology)
+
+    views = [scaled_view(i) for i in range(N_THREADS)]
+    barrier = threading.Barrier(N_THREADS)
+
+    def worker(thread_index):
+        barrier.wait()
+        plans = []
+        for request in requests:
+            plans.append(planner.plan(request, views[thread_index]))
+            assert len(memo) <= memo.max_entries
+        return plans
+
+    with ThreadPoolExecutor(max_workers=N_THREADS) as pool:
+        results = list(pool.map(worker, range(N_THREADS)))
+
+    plans = [plan for chunk in results for plan in chunk]
+    assert len({id(plan) for plan in plans}) == len(plans)  # all computed
+    stats = memo.stats
+    calls = sum(plan.result.stats.optimize_calls for plan in plans)
+    hits = sum(plan.result.stats.optimize_memo_hits for plan in plans)
+    assert calls > 0 and hits > 0
+    assert stats.hits + stats.misses == calls
+    assert stats.hits == hits
+    assert stats.entries == len(memo) <= memo.max_entries
+
+    memo_free = BatchPlanner.for_scenario(scenario, optimize_memo=None)
+    for thread_index, chunk in enumerate(results):
+        for request, plan in zip(requests, chunk):
+            fresh = memo_free._plan_fresh(
+                request, optimize_memo=None, view=views[thread_index]
+            )
+            assert plan.result == fresh.result
 
 
 def test_concurrent_admission_never_oversubscribes_links():
