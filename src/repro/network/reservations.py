@@ -96,8 +96,9 @@ class BandwidthLedger:
     def generation(self) -> int:
         """Monotonic mutation counter (bumped on every ledger change).
 
-        Plan fingerprints embed this counter: a plan computed before a
-        bandwidth reservation is never served from cache afterwards.
+        :class:`~repro.sim.world.SimWorld` remakes its planning view and
+        clears its plan cache when this moves, so a plan computed before a
+        reservation is never served from cache afterwards.
         """
         with self._lock:
             return self._generation

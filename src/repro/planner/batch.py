@@ -12,11 +12,14 @@ pairs the two:
   :class:`~concurrent.futures.ThreadPoolExecutor`, preserving input order
   in the returned plans.
 
-Planning here is read-only with respect to the infrastructure — admission
-(reserving bandwidth) stays with
-:class:`~repro.runtime.admission.AdmissionController`, which bumps the
-ledger generation and thereby invalidates every cached plan that predates
-the reservation.
+Planning here is read-only with respect to the infrastructure.  To plan
+against reserved capacity, pass a :class:`~repro.core.graph.CatalogView`
+over the ledger's residual topology
+(:meth:`~repro.network.reservations.BandwidthLedger.residual_topology`):
+the fingerprint keys on that topology's content, so every booking changes
+the key.  Admission (reserving bandwidth) is the caller's:
+:class:`~repro.sim.world.SimWorld` plans through such a view and then
+books the plan hop by hop.
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ from repro.core.parameters import ParameterSet
 from repro.core.selection import TieBreakPolicy
 from repro.formats.registry import FormatRegistry
 from repro.network.placement import ServicePlacement
-from repro.network.reservations import BandwidthLedger
 from repro.planner.cache import PlanCache
 from repro.policy.engine import PolicyDecision, PolicyEngine, PolicyPlan
 from repro.planner.fingerprint import (
@@ -75,7 +77,6 @@ class BatchPlanner:
         catalog: ServiceCatalog,
         placement: ServicePlacement,
         cache: Optional[PlanCache] = None,
-        ledger: Optional[BandwidthLedger] = None,
         max_workers: Optional[int] = None,
         tie_break: TieBreakPolicy = TieBreakPolicy.PAPER,
         prune: bool = True,
@@ -88,7 +89,6 @@ class BatchPlanner:
         self._catalog = catalog
         self._placement = placement
         self._cache = cache if cache is not None else PlanCache()
-        self._ledger = ledger
         self._max_workers = max_workers
         self._tie_break = tie_break
         self._prune = prune
@@ -136,10 +136,6 @@ class BatchPlanner:
         return self._placement
 
     @property
-    def ledger(self) -> Optional[BandwidthLedger]:
-        return self._ledger
-
-    @property
     def optimize_memo(self) -> OptimizeMemo:
         """The shared optimize() memo (stats feed :class:`PlannerReport`)."""
         return self._optimize_memo
@@ -157,9 +153,6 @@ class BatchPlanner:
             catalog=self._catalog.generation,
             topology=self._placement.topology.generation,
             placement=self._placement.generation,
-            reservations=(
-                self._ledger.generation if self._ledger is not None else 0
-            ),
         )
 
     def fingerprint(
@@ -175,7 +168,6 @@ class BatchPlanner:
             placement=self._placement,
             view=view,
             context=request.context,
-            ledger=self._ledger,
             peer=request.peer,
             tie_break=self._tie_break,
             prune=self._prune,

@@ -11,8 +11,8 @@ matter for serving heavy concurrent traffic:
   and then read the freshly inserted entry.  This removes the thundering
   herd that would otherwise recompute one popular plan N times.
 - **Generation-based invalidation** — fingerprints embed the generation
-  counters of the catalog / topology / placement / ledger, so a stale plan
-  is structurally unreachable (its key can never be produced again).
+  counters of the catalog / topology / placement, so a stale plan is
+  structurally unreachable (its key can never be produced again).
   :meth:`purge_stale` additionally drops the dead entries eagerly and
   counts them as invalidations.
 

@@ -8,17 +8,20 @@ construction → pruning → selection) consumes for one session:
 - the endpoints (sender / receiver node) and planner knobs (peer,
   tie-break policy, pruning, trace recording);
 - the *shared infrastructure state* via content keys plus monotonic
-  generation counters of the service catalog, the topology, the placement,
-  and (when planning against reserved capacity) the bandwidth ledger;
+  generation counters of the service catalog, the topology and the
+  placement;
 - the per-call :class:`~repro.core.graph.CatalogView`, if any: its masked
-  service ids and the content of its residual topology.
+  service ids and the content of its residual topology.  Planning against
+  reserved capacity goes through a view over the bandwidth ledger's
+  residual topology, so every booking changes the key through that
+  content.
 
 Two requests with equal fingerprints are guaranteed to produce identical
 plans, because planning is deterministic in exactly these inputs.  Any
-catalog mutation (``add`` / ``remove``), topology growth, re-placement, or
-bandwidth reservation bumps a generation counter and therefore changes
-every subsequent fingerprint — a plan computed before a reservation can
-never be served stale.
+catalog mutation (``add`` / ``remove``), topology growth or re-placement
+bumps a generation counter, and a bandwidth reservation rewrites the
+residual a view carries, so either changes every subsequent fingerprint —
+a plan computed before a reservation can never be served stale.
 
 The digest is a SHA-256 over the canonical ``repr`` of the combined key
 tuple (all primitives, so the repr is deterministic), keeping the cache key
@@ -36,7 +39,6 @@ from typing import Callable, Optional, Tuple
 from repro.core.graph import CatalogView
 from repro.core.selection import TieBreakPolicy
 from repro.network.placement import ServicePlacement
-from repro.network.reservations import BandwidthLedger
 from repro.network.topology import NetworkTopology
 from repro.profiles.content import ContentProfile
 from repro.profiles.context import ContextProfile
@@ -59,7 +61,6 @@ class GenerationStamp:
     catalog: int
     topology: int
     placement: int
-    reservations: int
 
 
 @dataclass(frozen=True)
@@ -145,7 +146,6 @@ def fingerprint_request(
     placement: ServicePlacement,
     view: Optional[CatalogView] = None,
     context: Optional[ContextProfile] = None,
-    ledger: Optional[BandwidthLedger] = None,
     peer: Optional[str] = None,
     tie_break: TieBreakPolicy = TieBreakPolicy.PAPER,
     prune: bool = True,
@@ -153,12 +153,11 @@ def fingerprint_request(
 ) -> PlanFingerprint:
     """Fingerprint one planning request against the current world state.
 
-    Pass the ``ledger`` whenever planning runs against residual capacity
-    (admission control): its generation then participates in the key, so
-    any reserve / release forces a recompute.  A ``view`` adds its masked
-    service ids to the key, and its topology's content replaces the
-    placement topology's (planning reads only the view's); the generation
-    stamp stays that of the shared objects, so
+    A ``view`` adds its masked service ids to the key, and its topology's
+    content replaces the placement topology's (planning reads only the
+    view's), so a view over a ledger's residual keys on what the
+    reservations left; the generation stamp stays that of the shared
+    objects, so
     :meth:`~repro.planner.cache.PlanCache.purge_stale` treats every view's
     entries alike.
     """
@@ -166,7 +165,6 @@ def fingerprint_request(
         catalog=catalog.generation,
         topology=placement.topology.generation,
         placement=placement.generation,
-        reservations=ledger.generation if ledger is not None else 0,
     )
     key = (
         user.cache_key(),
@@ -204,8 +202,8 @@ def combine_fingerprints(
     ``(class_id, sessions, per_class_digest)`` triples in a fixed order.
     Every member digest already embeds the infrastructure generations, so
     the combined key inherits the same staleness guarantee: any catalog /
-    topology / placement / reservation change alters every member and
-    therefore the combination.  The stamp rides along unchanged so
+    topology / placement change alters every member and therefore the
+    combination.  The stamp rides along unchanged so
     :meth:`~repro.planner.cache.PlanCache.purge_stale` works on group
     entries exactly as it does on per-session ones.
     """

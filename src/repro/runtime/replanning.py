@@ -11,8 +11,8 @@ story implies:
   model);
 - when the observed deliverable satisfaction falls below a threshold
   fraction of the plan, it re-snapshots the topology at current bandwidth
-  levels, re-runs graph construction + selection, and switches chains if
-  the new plan is better;
+  levels, re-plans through an :class:`AdaptationSession` over that
+  snapshot, and switches chains if the new plan is better;
 - the whole history lands in a :class:`ReplanReport` timeline.
 
 Everything is deterministic for a fixed fluctuation model, so the E13
@@ -24,14 +24,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Tuple
 
-from repro.core.graph import AdaptationGraphBuilder
+from repro.core.graph import CatalogView
 from repro.core.parameters import FRAME_RATE
-from repro.core.selection import QoSPathSelector, SelectionResult
+from repro.core.selection import SelectionResult
 from repro.errors import NoPathError, ValidationError
 from repro.network.bandwidth import BandwidthEstimator, FluctuationModel
-from repro.network.placement import ServicePlacement
 from repro.network.topology import NetworkTopology
 from repro.runtime.events import EventLog
+from repro.runtime.session import AdaptationSession
 from repro.workloads.scenario import Scenario
 
 __all__ = ["ReplanReport", "StreamSegment", "AdaptiveSession"]
@@ -154,30 +154,22 @@ class AdaptiveSession:
         return snapshot
 
     def plan_at(self, time_s: float) -> SelectionResult:
-        """Run graph construction + selection against the instant's
-        bandwidths."""
+        """Plan the scenario against the instant's bandwidths."""
         scenario = self._scenario
-        snapshot = self.snapshot_topology(time_s)
-        placement = ServicePlacement(snapshot, scenario.placement.as_dict())
-        builder = AdaptationGraphBuilder(scenario.catalog, placement)
-        graph = builder.build(
+        return AdaptationSession(
+            registry=scenario.registry,
+            parameters=scenario.parameters,
+            catalog=scenario.catalog,
+            placement=scenario.placement,
             content=scenario.content,
             device=scenario.device,
+            user=scenario.user,
             sender_node=scenario.sender_node,
             receiver_node=scenario.receiver_node,
-            context_caps=(
-                scenario.context.parameter_caps()
-                if scenario.context is not None
-                else None
-            ),
-        )
-        return QoSPathSelector.for_user(
-            graph,
-            scenario.registry,
-            scenario.parameters,
-            scenario.user,
+            context=scenario.context,
             record_trace=False,
-        ).run()
+            view=CatalogView(topology=self.snapshot_topology(time_s)),
+        ).plan().result
 
     # ------------------------------------------------------------------
     # The adaptive loop

@@ -108,43 +108,12 @@ class AdaptationSession:
     # ------------------------------------------------------------------
     # Planning
     # ------------------------------------------------------------------
-    def plan(
-        self,
-        peer: Optional[str] = None,
-        cache=None,
-        ledger=None,
-    ) -> SessionPlan:
+    def plan(self, peer: Optional[str] = None) -> SessionPlan:
         """Run graph construction, pruning, and path selection.
 
-        Pass a :class:`~repro.planner.cache.PlanCache` to memoize the
-        plan under its canonical fingerprint; repeated calls with the
-        same profiles against an unchanged catalog / topology /
-        placement (and ledger, when given) return the cached plan.
+        Always plans afresh; memoizing plans is
+        :class:`~repro.planner.batch.BatchPlanner`'s job.
         """
-        if cache is None:
-            return self._plan_fresh(peer)
-        # Imported lazily: repro.planner.batch imports this module.
-        from repro.planner.fingerprint import fingerprint_request
-
-        fingerprint = fingerprint_request(
-            user=self._user,
-            content=self._content,
-            device=self._device,
-            sender_node=self._sender_node,
-            receiver_node=self._receiver_node,
-            catalog=self._catalog,
-            placement=self._placement,
-            view=self._view,
-            context=self._context,
-            ledger=ledger,
-            peer=peer,
-            tie_break=self._tie_break,
-            prune=self._prune,
-            record_trace=self._record_trace,
-        )
-        return cache.get_or_compute(fingerprint, lambda: self._plan_fresh(peer))
-
-    def _plan_fresh(self, peer: Optional[str] = None) -> SessionPlan:
         builder = AdaptationGraphBuilder(self._catalog, self._placement)
         graph = builder.build(
             content=self._content,

@@ -78,6 +78,14 @@ class SimulationConfig:
             raise ValidationError("duration jitter must lie in [0, 1)")
         if self.segment_s <= 0:
             raise ValidationError("segment length must be positive")
+        if not 0.0 < self.replan_threshold <= 1.0:
+            raise ValidationError("replan threshold must lie in (0, 1]")
+        if not 0.0 <= self.admission_floor <= 1.0:
+            raise ValidationError("admission floor must lie in [0, 1]")
+        if not 0.0 <= self.stall_satisfaction <= 1.0:
+            raise ValidationError("stall satisfaction must lie in [0, 1]")
+        if self.abandon_after_stalls < 0:
+            raise ValidationError("abandon_after_stalls must be >= 0")
 
 
 class SimulationRun:

@@ -112,27 +112,21 @@ class SimSession:
         return self._admitted or self._final_state is not None
 
     def on_arrival(self) -> None:
-        plan = self._world.plan(self._request)
-        if plan is None or plan.result.satisfaction < self._admission_floor:
-            reason = "no feasible chain" if plan is None else "below floor"
-            self._sim.record(
-                "reject", f"session {self.session_id}: {reason}"
-            )
-            self._finalize(REJECTED)
-            return
-        leases = self._world.reserve_plan(
-            plan, self._request, label=f"session-{self.session_id}"
+        admission = self._world.admit(
+            self._request,
+            self._admission_floor,
+            label=f"session-{self.session_id}",
         )
-        if leases is None:
+        if not admission.admitted:
             self._sim.record(
-                "reject",
-                f"session {self.session_id}: chain unreservable",
+                "reject", f"session {self.session_id}: {admission.rejection}"
             )
             self._finalize(REJECTED)
             return
+        plan = admission.plan
         self._admitted = True
         self._initial_satisfaction = plan.result.satisfaction
-        self._adopt(plan, leases)
+        self._adopt(plan, admission.leases)
         self._sim.record(
             "admit",
             f"session {self.session_id}: {','.join(plan.result.path)} "

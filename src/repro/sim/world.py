@@ -46,7 +46,7 @@ from repro.runtime.session import SessionPlan
 from repro.serve.health import HealthRegistry
 from repro.workloads.scenario import Scenario
 
-__all__ = ["HopLease", "SimWorld"]
+__all__ = ["Admission", "HopLease", "SimWorld"]
 
 #: Service ids the graph builder synthesizes for the endpoints; they are
 #: per-session, never in the shared catalog or placement.
@@ -68,6 +68,20 @@ class HopLease:
     per_frame_bps: float
     route: Tuple[str, ...]
     reservation: Reservation
+
+
+@dataclass(frozen=True)
+class Admission:
+    """One arrival's admission: its plan and leases, or why it was refused."""
+
+    plan: Optional[SessionPlan]
+    leases: List[HopLease]
+    #: ``None`` when admitted, else the reason the arrival was rejected.
+    rejection: Optional[str] = None
+
+    @property
+    def admitted(self) -> bool:
+        return self.rejection is None
 
 
 class SimWorld:
@@ -330,6 +344,24 @@ class SimWorld:
     # ------------------------------------------------------------------
     # Reservations
     # ------------------------------------------------------------------
+    def admit(
+        self, request: PlanRequest, floor: float = 0.0, label: str = ""
+    ) -> Admission:
+        """Admit one arrival: plan on the residual, apply ``floor``, reserve.
+
+        A rejected arrival books nothing; an admitted one holds the leases
+        :meth:`release` returns on teardown.
+        """
+        plan = self.plan(request)
+        if plan is None:
+            return Admission(None, [], "no feasible chain")
+        if plan.result.satisfaction < floor:
+            return Admission(plan, [], "below floor")
+        leases = self.reserve_plan(plan, request, label=label)
+        if leases is None:
+            return Admission(plan, [], "chain unreservable")
+        return Admission(plan, leases)
+
     def reserve_plan(
         self, plan: SessionPlan, request: PlanRequest, label: str = ""
     ) -> Optional[List[HopLease]]:

@@ -1,4 +1,4 @@
-"""Tests for bandwidth reservations and admission control."""
+"""Tests for bandwidth reservations and admission on a simulation world."""
 
 from __future__ import annotations
 
@@ -9,7 +9,10 @@ import pytest
 from repro.errors import ValidationError
 from repro.network.reservations import BandwidthLedger
 from repro.network.topology import NetworkTopology
-from repro.runtime.admission import AdmissionController
+from repro.planner import PlanRequest
+from repro.sim.arrivals import UniformArrivals
+from repro.sim.runner import SimulationConfig, SimulationRun
+from repro.sim.world import SimWorld
 from repro.workloads.paper import figure6_scenario
 
 
@@ -131,56 +134,52 @@ class TestBandwidthLedger:
 
 
 class TestAdmissionOnFigure6:
-    def _controller(self, min_satisfaction=0.0):
-        scenario = figure6_scenario()
-        controller = AdmissionController(
-            registry=scenario.registry,
-            parameters=scenario.parameters,
-            catalog=scenario.catalog,
-            placement=scenario.placement,
-            min_satisfaction=min_satisfaction,
-        )
-        return scenario, controller
+    """E16's admission on a :class:`SimWorld`: :meth:`SimWorld.admit`
+    plans on the live residual, rejects below the floor and reserves every
+    hop; teardown releases the leases."""
 
-    def _admit(self, scenario, controller):
-        return controller.admit(
+    def _world(self):
+        scenario = figure6_scenario()
+        request = PlanRequest(
             content=scenario.content,
             device=scenario.device,
             user=scenario.user,
             sender_node=scenario.sender_node,
             receiver_node=scenario.receiver_node,
         )
+        return SimWorld(scenario), request
 
     def test_first_admission_matches_the_paper(self):
-        scenario, controller = self._controller()
-        session = self._admit(scenario, controller)
-        assert session is not None
-        assert session.result.path == ("sender", "T7", "receiver")
-        assert session.satisfaction == pytest.approx(19.75 / 30.0, abs=1e-6)
+        world, request = self._world()
+        admission = world.admit(request)
+        assert admission.admitted
+        assert admission.plan.result.path == ("sender", "T7", "receiver")
+        assert admission.plan.result.satisfaction == pytest.approx(
+            19.75 / 30.0, abs=1e-6
+        )
 
     def test_later_admissions_see_less_capacity(self):
-        scenario, controller = self._controller()
-        first = self._admit(scenario, controller)
-        second = self._admit(scenario, controller)
-        assert first is not None and second is not None
+        world, request = self._world()
+        first = world.admit(request).plan
+        second = world.admit(request).plan
         # The first stream consumed most of the T7 access link, so the
         # second session composes a different (or slower) chain.
-        assert second.satisfaction < first.satisfaction
+        assert second.result.satisfaction < first.result.satisfaction
 
     def test_admissions_monotonically_decrease(self):
-        scenario, controller = self._controller()
+        world, request = self._world()
         satisfactions = []
         for _ in range(6):
-            session = self._admit(scenario, controller)
-            if session is None:
+            admission = world.admit(request)
+            if not admission.admitted:
                 break
-            satisfactions.append(session.satisfaction)
+            satisfactions.append(admission.plan.result.satisfaction)
         assert len(satisfactions) >= 3
         assert satisfactions == sorted(satisfactions, reverse=True)
 
     def test_e16_ladder_is_pinned(self):
         """The full ``benchmarks/results/admission.txt`` ladder (floor 0.10)."""
-        scenario, controller = self._controller(min_satisfaction=0.10)
+        world, request = self._world()
         ladder = [
             (("sender", "T7", "receiver"), 0.658),
             (("sender", "T8", "receiver"), 0.533),
@@ -194,61 +193,92 @@ class TestAdmissionOnFigure6:
         ]
         admitted = []
         for path, satisfaction in ladder:
-            session = self._admit(scenario, controller)
-            assert session is not None
-            assert (session.result.path, round(session.satisfaction, 3)) == (
+            admission = world.admit(request, floor=0.10)
+            assert admission.admitted
+            result = admission.plan.result
+            assert (result.path, round(result.satisfaction, 3)) == (
                 path,
                 satisfaction,
             )
-            admitted.append(session)
-        assert self._admit(scenario, controller) is None
-        controller.teardown(admitted[0].session_id)
-        revived = self._admit(scenario, controller)
-        assert revived is not None
+            admitted.append(admission)
+        assert not world.admit(request, floor=0.10).admitted
+        world.release(admitted[0].leases)
+        revived = world.admit(request, floor=0.10).plan
         assert revived.result.path == ("sender", "T7", "receiver")
-        assert round(revived.satisfaction, 3) == 0.658
+        assert round(revived.result.satisfaction, 3) == 0.658
 
     def test_satisfaction_floor_rejects(self):
-        scenario, controller = self._controller(min_satisfaction=0.6)
-        first = self._admit(scenario, controller)
-        assert first is not None  # 0.658 clears the floor
-        second = self._admit(scenario, controller)
-        assert second is None  # nothing above 0.6 remains
-
-    def test_teardown_restores_admissibility(self):
-        scenario, controller = self._controller(min_satisfaction=0.6)
-        first = self._admit(scenario, controller)
-        assert self._admit(scenario, controller) is None
-        controller.teardown(first.session_id)
-        again = self._admit(scenario, controller)
-        assert again is not None
-        assert again.satisfaction == pytest.approx(first.satisfaction)
-
-    def test_teardown_all(self):
-        scenario, controller = self._controller()
-        self._admit(scenario, controller)
-        self._admit(scenario, controller)
-        assert controller.teardown_all() == 2
-        assert controller.active_sessions() == []
-        assert len(controller.ledger) == 0
-
-    def test_unknown_teardown_rejected(self):
-        _, controller = self._controller()
-        with pytest.raises(ValidationError):
-            controller.teardown(999)
-
-    def test_rejection_reserves_nothing(self):
-        scenario, controller = self._controller(min_satisfaction=0.99)
-        assert self._admit(scenario, controller) is None
-        assert len(controller.ledger) == 0
+        world, request = self._world()
+        assert world.admit(request, floor=0.6).admitted  # 0.658
+        rejected = world.admit(request, floor=0.6)  # none above 0.6
+        assert rejected.rejection == "below floor"
+        assert rejected.leases == []
 
     def test_invalid_floor_rejected(self):
+        """The admission floor is a satisfaction, so it must lie in [0, 1]."""
         scenario = figure6_scenario()
+        for floor in (1.5, -0.1, math.nan):
+            with pytest.raises(ValidationError):
+                SimulationConfig(scenario=scenario, admission_floor=floor)
+
+    def test_teardown_restores_admissibility(self):
+        world, request = self._world()
+        first = world.admit(request, floor=0.6)
+        assert not world.admit(request, floor=0.6).admitted
+        world.release(first.leases)
+        again = world.admit(request, floor=0.6)
+        assert again.admitted
+        assert again.plan.result.satisfaction == pytest.approx(
+            first.plan.result.satisfaction
+        )
+
+    def test_teardown_all(self):
+        world, request = self._world()
+        sessions = [world.admit(request) for _ in range(2)]
+        assert len(world.ledger) == sum(len(s.leases) for s in sessions)
+        for admission in sessions:
+            world.release(admission.leases)
+        assert len(world.ledger) == 0
+        assert (
+            world.ledger.residual_topology().links()
+            == world.scenario.topology.links()
+        )
+
+    def test_unknown_teardown_rejected(self):
+        world, request = self._world()
+        leases = world.admit(request).leases
+        world.release(leases)
         with pytest.raises(ValidationError):
-            AdmissionController(
-                registry=scenario.registry,
-                parameters=scenario.parameters,
-                catalog=scenario.catalog,
-                placement=scenario.placement,
-                min_satisfaction=1.5,
-            )
+            world.release(leases)
+
+    def test_rejection_reserves_nothing(self):
+        world, request = self._world()
+        admission = world.admit(request, floor=0.99)
+        assert admission.rejection == "below floor"
+        assert admission.plan is not None  # planned, then refused
+        assert len(world.ledger) == 0
+
+
+def test_simulated_arrival_below_floor_is_rejected():
+    """A simulated arrival admits through the same floor: on Figure 6 with
+    floor 0.6 the first viewer streams T7 (S 0.658) and the second, which
+    arrives while it does, is refused without booking anything."""
+    run = SimulationRun(
+        SimulationConfig(
+            scenario=figure6_scenario(),
+            sessions=2,
+            device_classes=1,
+            arrivals=UniformArrivals(over_s=1.0),
+            duration_jitter=0.0,
+            admission_floor=0.6,
+        )
+    )
+    run.sim.run(until_s=1.5)
+    rejects = [str(event) for event in run.sim.trace.in_category("reject")]
+    assert len(rejects) == 1 and rejects[0].endswith("session 2: below floor")
+    assert {r.label for r in run.world.ledger.active_reservations()} == {
+        "session-1"
+    }
+    report = run.execute()
+    assert (report.admitted, report.rejected) == (1, 1)
+    assert len(run.world.ledger) == 0

@@ -6,7 +6,6 @@ import io
 
 from repro.cli import main
 from repro.planner import BatchPlanner, PlanCache, synthetic_requests
-from repro.runtime.admission import AdmissionController
 from repro.runtime.metrics import PlannerReport
 from repro.workloads.synthetic import SyntheticConfig, generate_scenario
 
@@ -131,54 +130,6 @@ def test_memoized_batch_equals_uncached_batch():
 # ----------------------------------------------------------------------
 # Runtime wiring
 # ----------------------------------------------------------------------
-
-
-def test_session_plan_accepts_cache(small_synthetic):
-    cache = PlanCache()
-    session = small_synthetic.session()
-    first = session.plan(cache=cache)
-    second = session.plan(cache=cache)
-    assert second is first
-    assert cache.stats.hits == 1
-    assert cache.stats.misses == 1
-    # Without a cache the session still plans the same result.
-    fresh = session.plan()
-    assert fresh.result == first.result
-
-
-def test_admission_controller_reuses_plans_until_reservation():
-    scenario = _scenario(seed=11)
-    cache = PlanCache()
-    controller = AdmissionController(
-        registry=scenario.registry,
-        parameters=scenario.parameters,
-        catalog=scenario.catalog,
-        placement=scenario.placement,
-        cache=cache,
-    )
-
-    def admit():
-        return controller.admit(
-            content=scenario.content,
-            device=scenario.device,
-            user=scenario.user,
-            sender_node=scenario.sender_node,
-            receiver_node=scenario.receiver_node,
-        )
-
-    first = admit()
-    assert first is not None
-    stats = cache.stats
-    assert stats.misses == 1
-    if first.reservations and any(
-        r.bandwidth_bps > 0 and len(r.route) > 1 for r in first.reservations
-    ):
-        # The admission reserved bandwidth -> ledger generation moved ->
-        # the next identical request must be planned fresh, never served
-        # the pre-reservation plan.
-        admit()
-        assert cache.stats.misses == 2
-        assert cache.stats.hits == 0
 
 
 def test_planner_report_summary_and_rates():

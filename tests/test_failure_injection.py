@@ -117,7 +117,7 @@ class TestStaleStateAcrossLayers:
 
     def test_admission_rollback_on_self_collision(self):
         """A chain whose hops share one thin link cannot double-book it:
-        the admission rolls back atomically."""
+        reserving the plan rolls back atomically."""
         from repro.core.parameters import (
             ContinuousDomain,
             DiscreteDomain,
@@ -128,9 +128,11 @@ class TestStaleStateAcrossLayers:
         from repro.formats.variants import ContentVariant
         from repro.profiles.content import ContentProfile
         from repro.profiles.device import DeviceProfile
+        from repro.planner import PlanRequest
         from repro.profiles.user import UserProfile
-        from repro.runtime.admission import AdmissionController
         from repro.services.catalog import ServiceCatalog
+        from repro.sim.world import SimWorld
+        from repro.workloads.scenario import Scenario
 
         # sender(ns) -> X(back on ns side!) -> receiver(nr): both hops
         # cross the single ns--nr link.
@@ -163,12 +165,6 @@ class TestStaleStateAcrossLayers:
                 Parameter(COLOR_DEPTH, "bits", DiscreteDomain([24.0])),
             ]
         )
-        controller = AdmissionController(
-            registry=registry,
-            parameters=parameters,
-            catalog=catalog,
-            placement=placement,
-        )
         content = ContentProfile(
             "c",
             [
@@ -184,15 +180,30 @@ class TestStaleStateAcrossLayers:
         user = UserProfile(
             "u", {FRAME_RATE: LinearSatisfaction(0, 30)}, budget=10.0
         )
-        session = controller.admit(content, device, user, "ns", "ns")
-        # Either the admission succeeds with a consistent ledger, or it
-        # is rejected with an EMPTY ledger — never a half-booked state.
-        if session is None:
-            assert len(controller.ledger) == 0
-        else:
-            assert len(controller.ledger) == len(session.reservations)
-            controller.teardown(session.session_id)
-            assert len(controller.ledger) == 0
+        world = SimWorld(
+            Scenario(
+                name="self-collision",
+                registry=registry,
+                parameters=parameters,
+                catalog=catalog,
+                topology=topology,
+                placement=placement,
+                content=content,
+                device=device,
+                user=user,
+                sender_node="ns",
+                receiver_node="ns",
+            )
+        )
+        request = PlanRequest(content, device, user, "ns", "ns")
+        plan = world.plan(request)
+        assert plan is not None
+        # Each hop fits the link alone, so planning succeeds; the second
+        # hop's booking fails and the first is rolled back — never a
+        # half-booked state.
+        assert world.reserve_plan(plan, request) is None
+        assert len(world.ledger) == 0
+        assert world.ledger.residual("ns", "nr") == 40.0 * frame_bits
 
     def test_unknown_node_in_topology_queries(self):
         topology = NetworkTopology()

@@ -208,20 +208,25 @@ def test_placement_mutation_changes_fingerprint():
     assert _fingerprint(scenario) != base
 
 
-def test_reservation_changes_fingerprint_only_when_ledger_passed():
+def test_reservation_changes_fingerprint_of_residual_view_request():
+    from repro.core.graph import CatalogView
     from repro.network.reservations import BandwidthLedger
 
     scenario = generate_scenario(SyntheticConfig(seed=3, n_services=10))
     ledger = BandwidthLedger(scenario.topology)
-    base = _fingerprint(scenario, ledger=ledger)
-    assert base == _fingerprint(scenario, ledger=ledger)
+    view = CatalogView(topology=ledger.residual_topology())
+    base = _fingerprint(scenario, view=view)
+    # An untouched residual carries the base topology's content.
+    assert base == _fingerprint(scenario, view=view) == _fingerprint(scenario)
     link = scenario.topology.links()[0]
     reservation = ledger.reserve([link.a, link.b], 1.0)
-    assert _fingerprint(scenario, ledger=ledger) != base
+    booked = _fingerprint(scenario, view=view)
+    assert booked != base
+    assert _fingerprint(scenario) == base  # the base topology is untouched
     ledger.release(reservation)
-    # Release restores capacity but still bumps the generation: a plan
-    # computed before the reservation is never served afterwards.
-    assert _fingerprint(scenario, ledger=ledger) != base
+    # Release restores the residual's content, and with it the key: the
+    # plan of that state is the plan of the unbooked world.
+    assert _fingerprint(scenario, view=view) == base
 
 
 # ----------------------------------------------------------------------

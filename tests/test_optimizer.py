@@ -7,7 +7,7 @@ import math
 
 import pytest
 
-from repro.core.configuration import Configuration
+from repro.core.configuration import Configuration, required_bandwidth_of
 from repro.core.optimizer import (
     ConfigurationOptimizer,
     OptimizationConstraints,
@@ -240,6 +240,42 @@ class TestBandwidthConstrained:
             )
         )
         assert choice.configuration[AUDIO_QUALITY] == pytest.approx(128.0)
+
+
+class TestRayBisectionTolerance:
+    """Phase 2 tests each probe with Equation 2's tolerance
+    (:func:`~repro.core.configuration.fits_within`): a discrete point that
+    needs exactly the available bandwidth fits."""
+
+    PARAMS = ParameterSet(
+        [
+            Parameter(FRAME_RATE, "fps", ContinuousDomain(0.0, 60.0)),
+            Parameter(RESOLUTION, "pixels", DiscreteDomain([100.0, 200.0, 300.0])),
+            Parameter(COLOR_DEPTH, "bits", DiscreteDomain([8.0])),
+        ]
+    )
+    START = Configuration({FRAME_RATE: 10.0, RESOLUTION: 300.0, COLOR_DEPTH: 8.0})
+    LOWER = {FRAME_RATE: 10.0, RESOLUTION: 100.0, COLOR_DEPTH: 8.0}
+
+    def _bisect(self, bandwidth):
+        optimizer = make_optimizer(
+            {RESOLUTION: LinearSatisfaction(100, 300)}, parameters=self.PARAMS
+        )
+        return optimizer._ray_bisection(self.START, self.LOWER, FMT, bandwidth)
+
+    def _exact(self, resolution):
+        return required_bandwidth_of(
+            self.START.with_value(RESOLUTION, resolution).as_dict(), FMT
+        )
+
+    def test_point_needing_exactly_the_bandwidth_is_reached(self):
+        config = self._bisect(self._exact(200.0))
+        assert config[RESOLUTION] == 200.0
+        assert config.required_bandwidth(FMT) == self._exact(200.0)
+
+    def test_point_needing_more_than_the_tolerance_is_not(self):
+        config = self._bisect(self._exact(200.0) * (1.0 - 1e-6))
+        assert config[RESOLUTION] == 100.0
 
 
 class TestDegradeOrder:

@@ -13,7 +13,7 @@ from repro.errors import ValidationError
 from repro.planner import GenerationStamp, PlanCache, PlanFingerprint
 
 
-def _fp(digest: str, stamp: GenerationStamp = GenerationStamp(0, 0, 0, 0)):
+def _fp(digest: str, stamp: GenerationStamp = GenerationStamp(0, 0, 0)):
     return PlanFingerprint(digest=digest, generations=stamp)
 
 
@@ -81,8 +81,8 @@ def test_get_or_compute_propagates_and_recovers_from_failure():
 
 def test_purge_stale_drops_only_old_generations():
     cache = PlanCache()
-    old = GenerationStamp(0, 0, 0, 0)
-    new = GenerationStamp(1, 0, 0, 0)
+    old = GenerationStamp(0, 0, 0)
+    new = GenerationStamp(1, 0, 0)
     cache.put(_fp("a", old), 1)
     cache.put(_fp("b", old), 2)
     cache.put(_fp("c", new), 3)

@@ -5,8 +5,9 @@ The cache's contract, checked over generated scenarios and mutations:
 - a cache hit returns a plan equal to one computed fresh (same selected
   path, formats, configuration, satisfaction, cost);
 - with no intervening mutation, the second call is a hit (same object);
-- *any* catalog / topology / placement / ledger mutation between two
-  calls changes the fingerprint and forces a recompute;
+- *any* catalog / topology / placement mutation between two calls, or a
+  reservation under a request planned on the ledger's residual, changes
+  the fingerprint and forces a recompute;
 - planning through a :class:`~repro.core.graph.CatalogView` (masked
   services, a forced tier, a residual topology) gives the same plan as a
   planner over a physically filtered catalog and placement, and view
@@ -122,14 +123,20 @@ def test_mutation_between_calls_forces_recompute(seed, mutation):
     scenario = _scenario(seed)
     ledger = BandwidthLedger(scenario.topology)
     cache = PlanCache()
-    planner = BatchPlanner.for_scenario(scenario, cache=cache, ledger=ledger)
+    planner = BatchPlanner.for_scenario(scenario, cache=cache)
     request = _request(scenario)
+    # Reservations reach planning only through a view on the residual.
+    view = (
+        CatalogView(topology=ledger.residual_topology())
+        if mutation == "reserve"
+        else None
+    )
 
-    first_fp = planner.fingerprint(request)
-    first = planner.plan(request)
+    first_fp = planner.fingerprint(request, view)
+    first = planner.plan(request, view)
     _mutate(scenario, ledger, mutation)
-    second_fp = planner.fingerprint(request)
-    second = planner.plan(request)
+    second_fp = planner.fingerprint(request, view)
+    second = planner.plan(request, view)
 
     if mutation == "none":
         assert second_fp == first_fp
@@ -140,9 +147,10 @@ def test_mutation_between_calls_forces_recompute(seed, mutation):
         assert second_fp != first_fp
         assert cache.stats.hits == 0
         assert cache.stats.misses == 2
-        # The recomputed plan still matches a from-scratch run of the
-        # mutated world.
-        assert _plan_fields(second) == _plan_fields(planner.plan_uncached(request))
+        # The recomputed plan still matches a from-scratch, memo-free run
+        # of the mutated world.
+        fresh = planner._plan_fresh(request, optimize_memo=None, view=view)
+        assert _plan_fields(second) == _plan_fields(fresh)
 
 
 # ----------------------------------------------------------------------

@@ -21,9 +21,9 @@ from concurrent.futures import ThreadPoolExecutor
 
 from repro.core.graph import CatalogView
 from repro.core.optimizer import OptimizeMemo
+from repro.errors import ValidationError
 from repro.network.reservations import BandwidthLedger
 from repro.planner import BatchPlanner, PlanCache, synthetic_requests
-from repro.runtime.admission import AdmissionController
 from repro.workloads.synthetic import SyntheticConfig, generate_scenario
 
 N_THREADS = 16
@@ -123,36 +123,62 @@ def test_concurrent_shared_memo_counts_every_call_and_stays_bounded():
             assert plan.result == fresh.result
 
 
+def _hop_demands(scenario, request, plan):
+    """``(route, bandwidth)`` per streaming hop of a planned chain."""
+    result = plan.result
+    nodes = {"sender": request.sender_node, "receiver": request.receiver_node}
+
+    def node_of(service_id):
+        return nodes.get(service_id) or scenario.placement.node_of(service_id)
+
+    demands = []
+    for source, target, fmt_name in zip(
+        result.path, result.path[1:], result.formats
+    ):
+        a, b = node_of(source), node_of(target)
+        route = [a] if a == b else scenario.topology.widest_path(a, b)
+        fmt = scenario.registry.get(fmt_name)
+        demands.append((route, result.configuration.required_bandwidth(fmt)))
+    return demands
+
+
 def test_concurrent_admission_never_oversubscribes_links():
     scenario = _scenario(seed=11)
-    controller = AdmissionController(
-        registry=scenario.registry,
-        parameters=scenario.parameters,
-        catalog=scenario.catalog,
-        placement=scenario.placement,
-    )
+    ledger = BandwidthLedger(scenario.topology)
+    planner = BatchPlanner.for_scenario(scenario)
+    requests = synthetic_requests(scenario, 4, 4)
+    chains = [
+        _hop_demands(scenario, request, plan)
+        for request, plan in zip(requests, planner.plan_batch(requests))
+        if plan.success
+    ]
+    assert any(len(route) > 1 for chain in chains for route, _ in chain)
 
-    def admit(_):
-        return controller.admit(
-            content=scenario.content,
-            device=scenario.device,
-            user=scenario.user,
-            sender_node=scenario.sender_node,
-            receiver_node=scenario.receiver_node,
-        )
+    def admit(attempt):
+        # All-or-nothing per chain: a hop the ledger refuses rolls the
+        # chain's earlier hops back.
+        taken = []
+        for route, bandwidth in chains[attempt % len(chains)]:
+            try:
+                taken.append(ledger.reserve(route, bandwidth))
+            except ValidationError:
+                for reservation in taken:
+                    ledger.release(reservation)
+                return None
+        return taken
 
     with ThreadPoolExecutor(max_workers=N_THREADS) as pool:
         admitted = [s for s in pool.map(admit, range(3 * N_THREADS)) if s]
 
     assert admitted, "stress scenario admitted nothing; rebalance the config"
-    assert len(controller.active_sessions()) == len(admitted)
+    assert len(admitted) < 3 * N_THREADS, "nothing contended; shrink the links"
+    assert len(ledger) == sum(len(session) for session in admitted)
 
-    ledger = controller.ledger
     # Per-link accounting: reserved == sum of active claims, and no claim
     # pushed a link past its capacity (the 1e-9 slack absorbs exact fits).
     expected = {}
     for session in admitted:
-        for reservation in session.reservations:
+        for reservation in session:
             for link_key in reservation.links():
                 expected[link_key] = (
                     expected.get(link_key, 0.0) + reservation.bandwidth_bps
@@ -163,12 +189,12 @@ def test_concurrent_admission_never_oversubscribes_links():
         assert demand <= capacity * (1.0 + 1e-6)
 
     # Duplicate-reservation check: every reservation id is unique.
-    ids = [
-        r.reservation_id for s in admitted for r in s.reservations
-    ]
+    ids = [r.reservation_id for session in admitted for r in session]
     assert len(ids) == len(set(ids))
 
-    assert controller.teardown_all() == len(admitted)
+    for session in admitted:
+        for reservation in session:
+            ledger.release(reservation)
     assert len(ledger) == 0
     for a, b in expected:
         assert ledger.reserved_on(a, b) == 0.0

@@ -7,8 +7,10 @@ import math
 
 import pytest
 
+from repro.core.graph import CatalogView
 from repro.errors import UnknownNodeError, ValidationError
 from repro.planner.batch import PlanRequest
+from repro.runtime.session import AdaptationSession
 from repro.sim import (
     FlashCrowd,
     LinkDegradation,
@@ -274,6 +276,43 @@ class TestWorldResidual:
             receiver_node=scenario.receiver_node,
         )
 
+    def test_plan_cache_hits_until_the_ledger_moves(self, small_scenario):
+        world = SimWorld(small_scenario)
+        request = self._request(small_scenario)
+
+        def fresh():
+            # Memo-free, cache-free planning on the live residual.
+            return AdaptationSession(
+                registry=small_scenario.registry,
+                parameters=small_scenario.parameters,
+                catalog=small_scenario.catalog,
+                placement=small_scenario.placement,
+                content=request.content,
+                device=request.device,
+                user=request.user,
+                sender_node=request.sender_node,
+                receiver_node=request.receiver_node,
+                record_trace=False,
+                view=CatalogView(topology=world.ledger.residual_topology()),
+            ).plan()
+
+        first = world.plan(request)
+        assert first is not None
+        assert world.plan(request) is first  # unchanged world: a hit
+        leases = world.reserve_plan(first, request)
+        assert leases is not None
+        assert any(len(lease.route) > 1 for lease in leases)  # booked a link
+        booked = world.plan(request)
+        assert booked is not None and booked is not first  # a miss
+        assert world.plan(request) is booked
+        assert booked.result == fresh().result
+        world.release(leases)
+        released = world.plan(request)
+        assert released is not None
+        assert released is not booked and released is not first
+        assert released.result == fresh().result
+        assert released.result == first.result
+
     @pytest.mark.parametrize("factor", [math.nan, math.inf, -math.inf, -0.5])
     def test_link_factor_must_be_finite_and_non_negative(
         self, small_scenario, factor
@@ -390,6 +429,27 @@ class TestConfigValidation:
             SimulationConfig(scenario=small_scenario, duration_jitter=1.5)
         with pytest.raises(ValidationError):
             SimulationConfig(scenario=small_scenario, segment_s=0.0)
+        for bad in (
+            dict(replan_threshold=0.0),
+            dict(replan_threshold=1.5),
+            dict(replan_threshold=math.nan),
+            dict(admission_floor=-0.1),
+            dict(admission_floor=1.5),
+            dict(stall_satisfaction=-0.1),
+            dict(stall_satisfaction=1.5),
+            dict(abandon_after_stalls=-1),
+        ):
+            with pytest.raises(ValidationError):
+                SimulationConfig(scenario=small_scenario, **bad)
+        # The closed ends are legal: replan only below the plan, admit
+        # anything or only perfect plans, never abandon.
+        SimulationConfig(
+            scenario=small_scenario,
+            replan_threshold=1.0,
+            admission_floor=1.0,
+            stall_satisfaction=0.0,
+            abandon_after_stalls=0,
+        )
 
     def test_unknown_scenario_name(self):
         with pytest.raises(ValidationError):
