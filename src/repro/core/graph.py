@@ -28,7 +28,7 @@ from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.core.configuration import Configuration
 from repro.errors import GraphConstructionError, UnknownNodeError, UnknownServiceError
-from repro.network.placement import ServicePlacement
+from repro.network.placement import ENDPOINT_IDS, ServicePlacement
 from repro.network.topology import NetworkTopology
 from repro.profiles.content import ContentProfile
 from repro.profiles.device import DeviceProfile
@@ -334,8 +334,8 @@ class AdaptationGraphBuilder:
         device: DeviceProfile,
         sender_node: str,
         receiver_node: str,
-        sender_id: str = "sender",
-        receiver_id: str = "receiver",
+        sender_id: str = ENDPOINT_IDS[0],
+        receiver_id: str = ENDPOINT_IDS[1],
         context_caps: Optional[Mapping[str, float]] = None,
         view: Optional[CatalogView] = None,
     ) -> AdaptationGraph:

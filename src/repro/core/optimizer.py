@@ -369,20 +369,9 @@ class ConfigurationOptimizer:
         return self._choice(config, fmt)
 
     def evaluate(self, configuration: Configuration) -> float:
-        """Total satisfaction of a configuration (ignores constraints).
-
-        Parameters the user has preferences for but that are absent from
-        the configuration are skipped — the user cannot judge a dimension
-        the stream does not have.  With no judgeable dimension at all the
-        satisfaction is 0.
-        """
-        values = []
-        for name in self._satisfaction.parameter_names():
-            if name in configuration:
-                values.append(self._satisfaction.individual(name, configuration[name]))
-        if not values:
-            return 0.0
-        return self._satisfaction.combiner(values)
+        """Total satisfaction of a configuration (ignores constraints);
+        see :meth:`CombinedSatisfaction.score`."""
+        return self._satisfaction.score(configuration)
 
     # ------------------------------------------------------------------
     # Memo fingerprints

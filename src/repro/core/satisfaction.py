@@ -487,3 +487,18 @@ class CombinedSatisfaction:
                 raise UnknownParameterError(name)
             satisfactions.append(fn(values[name]))
         return self.combiner(satisfactions)
+
+    def score(self, configuration: Mapping[str, float]) -> float:
+        """Total satisfaction of a delivered configuration.
+
+        Unlike :meth:`evaluate`, parameters absent from the configuration
+        are skipped — the user cannot judge a dimension the stream does
+        not have — and with nothing to judge the score is 0.  The values
+        combine in :meth:`parameter_names` order.
+        """
+        values = [
+            fn(configuration[name])
+            for name, fn in self.functions.items()
+            if name in configuration
+        ]
+        return self.combiner(values) if values else 0.0

@@ -48,17 +48,31 @@ class ContentVariant:
             )
 
     def cache_key(self) -> Tuple:
-        """A stable, hashable tuple identifying this variant exactly."""
+        """A stable, hashable tuple identifying this variant exactly.
+
+        The configuration keys in assignment order
+        (:meth:`~repro.core.configuration.Configuration.items_key`): the
+        optimizer breaks degrade-order ties by it, so the same values
+        assigned in another order can plan differently.
+        """
         return (
             self.format.cache_key(),
-            tuple(sorted(self.configuration.as_dict().items())),
+            self.configuration.items_key(),
             self.title,
             tuple(sorted(self.metadata.items())),
         )
 
-    # The ``metadata`` mapping defeats the generated dataclass hash.
+    # The ``metadata`` mapping defeats the generated dataclass hash.  Hash
+    # the configuration order-blind, as the generated ``__eq__`` compares.
     def __hash__(self) -> int:
-        return hash(self.cache_key())
+        return hash(
+            (
+                self.format.cache_key(),
+                self.configuration,
+                self.title,
+                tuple(sorted(self.metadata.items())),
+            )
+        )
 
     def required_bandwidth(self) -> float:
         """Bits/second needed to stream this variant as encoded."""

@@ -221,9 +221,11 @@ class GroupPlanner:
         """Reserve the tree's bandwidth: once per edge, all-or-nothing.
 
         Each tree edge maps to a node route exactly as per-session
-        admission maps a chain hop (endpoints to the request's nodes,
-        services through the placement, the route via the residual widest
-        path); the whole set then goes through
+        admission maps a chain hop
+        (:meth:`~repro.network.placement.ServicePlacement.node_for`, then
+        the residual's
+        :meth:`~repro.network.topology.NetworkTopology.hop_route`); the
+        whole set then goes through
         :meth:`BandwidthLedger.reserve_group`, so a mid-tree capacity
         failure releases every edge already held.  Every route is chosen
         on the ledger's live residual topology before the group claims
@@ -236,18 +238,14 @@ class GroupPlanner:
         residual = ledger.residual_topology()
         demands: List[EdgeDemand] = []
         for edge in plan.tree.edges:
-            source_node = self._node_for(edge.source, sender_node, receiver_node)
-            target_node = self._node_for(edge.target, sender_node, receiver_node)
-            if source_node == target_node:
-                route: Tuple[str, ...] = (source_node,)
-            else:
-                found = residual.widest_path(source_node, target_node)
-                if found is None:
-                    raise ValidationError(
-                        f"no route {source_node} -> {target_node} for tree "
-                        f"edge {edge.source}->{edge.target}"
-                    )
-                route = tuple(found)
+            source_node = placement.node_for(edge.source, sender_node, receiver_node)
+            target_node = placement.node_for(edge.target, sender_node, receiver_node)
+            route = residual.hop_route(source_node, target_node)
+            if route is None:
+                raise ValidationError(
+                    f"no route {source_node} -> {target_node} for tree "
+                    f"edge {edge.source}->{edge.target}"
+                )
             demands.append(
                 EdgeDemand(
                     route=route,
@@ -256,12 +254,3 @@ class GroupPlanner:
                 )
             )
         return ledger.reserve_group(demands, label=label)
-
-    def _node_for(
-        self, service_id: str, sender_node: str, receiver_node: str
-    ) -> str:
-        if service_id == "sender":
-            return sender_node
-        if service_id == "receiver":
-            return receiver_node
-        return self._batch.placement.node_of(service_id)

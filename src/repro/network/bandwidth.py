@@ -158,7 +158,7 @@ class BandwidthEstimator:
         published bandwidth, as a real overlay would) and applies the
         fluctuation factor per link along it.
         """
-        path = self._topology.widest_path(source, target)
+        path = self._topology.hop_route(source, target)
         if path is None:
             return 0.0
         if len(path) < 2:

@@ -15,7 +15,11 @@ from repro.errors import PlacementError, UnknownServiceError
 from repro.network.topology import NetworkTopology
 from repro.services.descriptor import ServiceDescriptor
 
-__all__ = ["ServicePlacement"]
+__all__ = ["ENDPOINT_IDS", "ServicePlacement"]
+
+#: Service ids the graph builder gives a session's sender and receiver.
+#: They are per-session, so no placement holds them.
+ENDPOINT_IDS = ("sender", "receiver")
 
 
 class ServicePlacement:
@@ -69,6 +73,22 @@ class ServicePlacement:
             return self._node_of[service_id]
         except KeyError:
             raise PlacementError(f"service {service_id!r} is not placed") from None
+
+    def node_for(
+        self, service_id: str, sender_node: str, receiver_node: str
+    ) -> str:
+        """The host of one chain service within one session.
+
+        The endpoint ids go to the session's own nodes; every other id
+        goes through the placement (raising when unplaced).  Admission,
+        group reservation, re-planning and the delivery pipeline all map
+        a hop's services to hosts through this one method.
+        """
+        if service_id == ENDPOINT_IDS[0]:
+            return sender_node
+        if service_id == ENDPOINT_IDS[1]:
+            return receiver_node
+        return self.node_of(service_id)
 
     def is_placed(self, service_id: str) -> bool:
         return service_id in self._node_of

@@ -27,13 +27,9 @@ from typing import Dict, List, Sequence, Tuple
 
 from repro.core.configuration import fits_within
 from repro.errors import ValidationError
-from repro.network.topology import NetworkTopology
+from repro.network.topology import NetworkTopology, link_key
 
 __all__ = ["EdgeDemand", "Reservation", "BandwidthLedger"]
-
-
-def _canonical(a: str, b: str) -> Tuple[str, str]:
-    return (a, b) if a <= b else (b, a)
 
 
 @dataclass(frozen=True)
@@ -61,7 +57,7 @@ class Reservation:
     label: str = ""
 
     def links(self) -> List[Tuple[str, str]]:
-        return [_canonical(a, b) for a, b in zip(self.route, self.route[1:])]
+        return [link_key(a, b) for a, b in zip(self.route, self.route[1:])]
 
 
 class BandwidthLedger:
@@ -110,7 +106,7 @@ class BandwidthLedger:
         """Bits/second currently reserved on one link."""
         self._topology.get_link(a, b)  # validate the link exists
         with self._lock:
-            return self._reserved.get(_canonical(a, b), 0.0)
+            return self._reserved.get(link_key(a, b), 0.0)
 
     def residual(self, a: str, b: str) -> float:
         """Nominal capacity remaining on one link (what :meth:`reserve`
@@ -180,7 +176,7 @@ class BandwidthLedger:
                         f"residual, cannot reserve {bandwidth_bps:.0f}"
                     )
             for a, b in pairs:
-                key = _canonical(a, b)
+                key = link_key(a, b)
                 self._reserved[key] = self._reserved.get(key, 0.0) + bandwidth_bps
                 self._refresh(key)
             reservation = Reservation(
@@ -251,7 +247,7 @@ class BandwidthLedger:
         self._topology.get_link(a, b)  # validate the link exists
         if not math.isfinite(bandwidth_bps) or bandwidth_bps < 0:
             raise ValidationError("link capacity must be finite and >= 0")
-        key = _canonical(a, b)
+        key = link_key(a, b)
         with self._lock:
             self._capacity[key] = bandwidth_bps
             self._refresh(key)

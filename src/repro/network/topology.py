@@ -21,11 +21,11 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import UnknownNodeError, ValidationError
 
-__all__ = ["NetworkNode", "Link", "NetworkTopology"]
+__all__ = ["NetworkNode", "Link", "NetworkTopology", "link_key"]
 
 #: Bandwidth reported between two services hosted on the same node.
 UNLIMITED_BANDWIDTH = math.inf
@@ -97,7 +97,8 @@ class Link:
         raise UnknownNodeError(node_id)
 
 
-def _canonical(a: str, b: str) -> Tuple[str, str]:
+def link_key(a: str, b: str) -> Tuple[str, str]:
+    """The order-free key of the link between ``a`` and ``b``."""
     return (a, b) if a <= b else (b, a)
 
 
@@ -144,7 +145,7 @@ class NetworkTopology:
         for endpoint in link.endpoints():
             if endpoint not in self._nodes:
                 raise UnknownNodeError(endpoint)
-        key = _canonical(link.a, link.b)
+        key = link_key(link.a, link.b)
         if key in self._links:
             raise ValidationError(f"link {key} already exists")
         self._links[key] = link
@@ -168,7 +169,7 @@ class NetworkTopology:
     def set_bandwidth(self, a: str, b: str, bandwidth_bps: float) -> Link:
         """Replace one link's bandwidth in place; every other field stays."""
         link = replace(self.get_link(a, b), bandwidth_bps=bandwidth_bps)
-        self._links[_canonical(a, b)] = link
+        self._links[link_key(a, b)] = link
         self._generation += 1
         return link
 
@@ -194,12 +195,12 @@ class NetworkTopology:
 
     def get_link(self, a: str, b: str) -> Link:
         try:
-            return self._links[_canonical(a, b)]
+            return self._links[link_key(a, b)]
         except KeyError:
             raise UnknownNodeError(f"{a}--{b}") from None
 
     def has_link(self, a: str, b: str) -> bool:
-        return _canonical(a, b) in self._links
+        return link_key(a, b) in self._links
 
     def nodes(self) -> List[NetworkNode]:
         return list(self._nodes.values())
@@ -241,6 +242,17 @@ class NetworkTopology:
             return None
         return self._unwind(parent, source, target)
 
+    def hop_route(self, source: str, target: str) -> Optional[Tuple[str, ...]]:
+        """The route one chain hop streams along, between two hosts.
+
+        ``(source,)`` when the services share a host (unlimited bandwidth,
+        Section 4.3), the widest path otherwise, ``None`` when the hosts
+        are disconnected.  Admission, group reservation, re-planning and
+        the delivery pipeline all route a hop through this one query.
+        """
+        path = self.widest_path(source, target)
+        return None if path is None else tuple(path)
+
     def widest_routes(self, source: str) -> Dict[str, Tuple[float, float, float]]:
         """``(bottleneck, cost, delay_ms)`` of the widest path from ``source``
         to every node it reaches (itself: ``(inf, 0.0, 0.0)``).
@@ -257,7 +269,7 @@ class NetworkTopology:
         terms = {source: ((), ())}  # per node: its route's costs, delays
         routes = {source: (UNLIMITED_BANDWIDTH, 0.0, 0.0)}
         for node in list(settled)[1:]:
-            hop = self._links[_canonical(parent[node], node)]
+            hop = self._links[link_key(parent[node], node)]
             costs, delays = terms[parent[node]]
             terms[node] = costs, delays = costs + (hop.cost,), delays + (hop.delay_ms,)
             routes[node] = (best[node], sum(costs), sum(delays))
@@ -307,7 +319,7 @@ class NetworkTopology:
             return 0.0
         return self.path_bottleneck(path)
 
-    def path_bottleneck(self, path: List[str]) -> float:
+    def path_bottleneck(self, path: Sequence[str]) -> float:
         """Minimum link bandwidth along a node sequence."""
         if len(path) < 2:
             return UNLIMITED_BANDWIDTH
@@ -360,15 +372,15 @@ class NetworkTopology:
             return None
         return self._unwind(parent, source, target)
 
-    def path_delay_ms(self, path: List[str]) -> float:
+    def path_delay_ms(self, path: Sequence[str]) -> float:
         """Total one-way propagation delay along a node sequence."""
         return sum(self.get_link(a, b).delay_ms for a, b in zip(path, path[1:]))
 
-    def path_cost(self, path: List[str]) -> float:
+    def path_cost(self, path: Sequence[str]) -> float:
         """Total transmission cost along a node sequence."""
         return sum(self.get_link(a, b).cost for a, b in zip(path, path[1:]))
 
-    def path_loss_rate(self, path: List[str]) -> float:
+    def path_loss_rate(self, path: Sequence[str]) -> float:
         """End-to-end loss rate along a node sequence (independent links)."""
         survival = 1.0
         for a, b in zip(path, path[1:]):

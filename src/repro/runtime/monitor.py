@@ -21,14 +21,10 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ValidationError
 from repro.network.bandwidth import BandwidthEstimator
-from repro.network.topology import NetworkTopology
+from repro.network.topology import NetworkTopology, link_key
 from repro.profiles.network import LinkMeasurement, NetworkProfile
 
 __all__ = ["LinkEstimate", "NetworkMonitor"]
-
-
-def _canonical(a: str, b: str) -> Tuple[str, str]:
-    return (a, b) if a <= b else (b, a)
 
 
 @dataclass(frozen=True)
@@ -43,7 +39,7 @@ class LinkEstimate:
 
     @property
     def endpoints(self) -> Tuple[str, str]:
-        return _canonical(self.a, self.b)
+        return link_key(self.a, self.b)
 
 
 class NetworkMonitor:
@@ -84,7 +80,7 @@ class NetworkMonitor:
         self._last_sample_time = time_s
         for link in self.topology.links():
             observed = self._estimator.link_bandwidth(link.a, link.b, time_s)
-            key = _canonical(link.a, link.b)
+            key = link_key(link.a, link.b)
             previous = self._estimates.get(key)
             if previous is None:
                 smoothed = observed
@@ -125,7 +121,7 @@ class NetworkMonitor:
         return list(self._estimates.values())
 
     def estimate_for(self, a: str, b: str) -> Optional[LinkEstimate]:
-        return self._estimates.get(_canonical(a, b))
+        return self._estimates.get(link_key(a, b))
 
     def network_profile(self) -> NetworkProfile:
         """The Section-3 network profile from the smoothed estimates.

@@ -62,14 +62,20 @@ class DeliveryPipeline:
         self,
         chain: AdaptationChain,
         configuration: Configuration,
-        satisfaction_of: Callable[[Configuration], float],
+        score: Callable[[Configuration], float],
+        sender_node: str,
+        receiver_node: str,
         duration_s: float = 30.0,
         events: Optional[EventLog] = None,
     ) -> DeliveryReport:
-        """Stream ``duration_s`` seconds of content through ``chain``."""
+        """Stream ``duration_s`` seconds of content through ``chain``.
+
+        The chain's sender and receiver run on ``sender_node`` and
+        ``receiver_node``; every other service on its placed host.
+        """
         if duration_s <= 0:
             raise PipelineError("duration must be positive")
-        hops = self._hop_plan(chain, configuration)
+        hops = self._hop_plan(chain, configuration, sender_node, receiver_node)
         frame_rate = configuration.get_value(FRAME_RATE, 0.0) or 0.0
         log = events if events is not None else EventLog()
         rng = random.Random(self._seed)
@@ -110,7 +116,7 @@ class DeliveryPipeline:
         return DeliveryReport(
             path=tuple(chain.service_ids()),
             configuration=configuration,
-            satisfaction=satisfaction_of(configuration),
+            satisfaction=score(configuration),
             startup_latency_s=startup,
             duration_s=duration_s,
             frames_sent=frames_sent,
@@ -144,25 +150,30 @@ class DeliveryPipeline:
                 setattr(self, name, value)
 
     def _hop_plan(
-        self, chain: AdaptationChain, configuration: Configuration
+        self,
+        chain: AdaptationChain,
+        configuration: Configuration,
+        sender_node: str,
+        receiver_node: str,
     ) -> List["_Hop"]:
-        topology = self._placement.topology
+        placement = self._placement
+        topology = placement.topology
         hops: List[DeliveryPipeline._Hop] = []
         sequence = list(chain)
         for upstream, downstream in zip(sequence, sequence[1:]):
-            source_node = self._placement.node_of(upstream.service.service_id)
-            target_node = self._placement.node_of(downstream.service.service_id)
-            if source_node == target_node:
-                route: List[str] = [source_node]
-            else:
-                route_or_none = topology.widest_path(source_node, target_node)
-                if route_or_none is None:
-                    raise PipelineError(
-                        f"hosts {source_node!r} and {target_node!r} are "
-                        f"disconnected; cannot stream hop into "
-                        f"{downstream.service.service_id}"
-                    )
-                route = route_or_none
+            source_node = placement.node_for(
+                upstream.service.service_id, sender_node, receiver_node
+            )
+            target_node = placement.node_for(
+                downstream.service.service_id, sender_node, receiver_node
+            )
+            route = topology.hop_route(source_node, target_node)
+            if route is None:
+                raise PipelineError(
+                    f"hosts {source_node!r} and {target_node!r} are "
+                    f"disconnected; cannot stream hop into "
+                    f"{downstream.service.service_id}"
+                )
             fmt = self._registry.get(downstream.via_format)
             per_frame = configuration.with_value(FRAME_RATE, 1.0).required_bandwidth(fmt)
             cpu = 0.0

@@ -116,31 +116,21 @@ class AdaptiveSession:
         for source, target, fmt_name in zip(
             result.path, result.path[1:], result.formats
         ):
-            source_node = self._node_of(source)
-            target_node = self._node_of(target)
-            if source_node == target_node:
-                continue
             bandwidth = self._estimator.available_bandwidth(
-                source_node, target_node, time_s
+                scenario.placement.node_for(
+                    source, scenario.sender_node, scenario.receiver_node
+                ),
+                scenario.placement.node_for(
+                    target, scenario.sender_node, scenario.receiver_node
+                ),
+                time_s,
             )
             fmt = scenario.registry.get(fmt_name)
             per_frame = config.with_value(FRAME_RATE, 1.0).required_bandwidth(fmt)
             if per_frame > 0:
                 achievable = min(achievable, bandwidth / per_frame)
         observed = config.with_value(FRAME_RATE, min(planned_fps, achievable))
-        satisfaction = self._scenario.user.satisfaction()
-        values = []
-        for name in satisfaction.parameter_names():
-            if name in observed:
-                values.append(satisfaction.individual(name, observed[name]))
-        return satisfaction.combiner(values) if values else 0.0
-
-    def _node_of(self, service_id: str) -> str:
-        if service_id == "sender":
-            return self._scenario.sender_node
-        if service_id == "receiver":
-            return self._scenario.receiver_node
-        return self._scenario.placement.node_of(service_id)
+        return scenario.user.satisfaction().score(observed)
 
     # ------------------------------------------------------------------
     # Re-planning

@@ -161,36 +161,21 @@ class AdaptationSession:
         """Stream the planned chain and report what the receiver saw."""
         if not plan.success:
             raise NoPathError(plan.result.failure_reason)
-        chain = plan.chain()
-        # Endpoints participate in routing, so they need host assignments.
-        placement = self._placement
-        if not placement.is_placed(plan.graph.sender_id):
-            placement.place(plan.graph.sender_id, self._sender_node)
-        if not placement.is_placed(plan.graph.receiver_id):
-            placement.place(plan.graph.receiver_id, self._receiver_node)
-        estimator = BandwidthEstimator(placement.topology, fluctuation)
-        pipeline = DeliveryPipeline(
-            placement=placement,
-            registry=self._registry,
-            estimator=estimator,
-            seed=seed,
-        )
-        satisfaction = self._user.satisfaction()
         configuration = plan.result.configuration
         if configuration is None:
             raise NoPathError("plan carries no delivered configuration")
-
-        def satisfaction_of(config) -> float:
-            values = []
-            for name in satisfaction.parameter_names():
-                if name in config:
-                    values.append(satisfaction.individual(name, config[name]))
-            return satisfaction.combiner(values) if values else 0.0
-
+        pipeline = DeliveryPipeline(
+            placement=self._placement,
+            registry=self._registry,
+            estimator=BandwidthEstimator(self._placement.topology, fluctuation),
+            seed=seed,
+        )
         return pipeline.stream(
-            chain=chain,
+            chain=plan.chain(),
             configuration=configuration,
-            satisfaction_of=satisfaction_of,
+            score=self._user.satisfaction().score,
+            sender_node=self._sender_node,
+            receiver_node=self._receiver_node,
             duration_s=duration_s,
             events=events,
         )

@@ -22,7 +22,7 @@ from repro.sim.report import SessionOutcome, SimReport, percentile
 from repro.sim.runner import SimulationConfig, SimulationRun, run_simulation
 from repro.sim.scenarios import SCENARIOS, build_scenario, scenario_names
 from repro.sim.session import SimSession
-from repro.sim.world import HopLease, SimWorld
+from repro.sim.world import SimWorld
 
 __all__ = [
     "ArrivalProcess",
@@ -45,6 +45,5 @@ __all__ = [
     "build_scenario",
     "scenario_names",
     "SimSession",
-    "HopLease",
     "SimWorld",
 ]

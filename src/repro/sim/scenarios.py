@@ -36,6 +36,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ValidationError
+from repro.network.placement import ENDPOINT_IDS
 from repro.policy.document import PolicyDocument, PolicyRule
 from repro.policy.predicates import DeviceIn, FormatIn
 from repro.profiles.device import DeviceProfile
@@ -206,9 +207,7 @@ def _gray_target(scenario: Scenario) -> str:
     service.
     """
     result = scenario.select(record_trace=False)
-    intermediaries = [
-        sid for sid in result.path if sid not in ("sender", "receiver")
-    ]
+    intermediaries = [sid for sid in result.path if sid not in ENDPOINT_IDS]
     if intermediaries:
         return intermediaries[0]
     backbone = _backbone_services(scenario)

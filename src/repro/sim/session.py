@@ -28,6 +28,8 @@ from typing import Callable, List, Optional, Tuple
 
 from repro.core.configuration import Configuration
 from repro.core.parameters import FRAME_RATE
+from repro.network.placement import ENDPOINT_IDS
+from repro.network.reservations import Reservation
 from repro.planner.batch import PlanRequest
 from repro.runtime.session import SessionPlan
 from repro.sim.engine import Simulator
@@ -39,11 +41,9 @@ from repro.sim.report import (
     TRUNCATED,
     SessionOutcome,
 )
-from repro.sim.world import HopLease, SimWorld
+from repro.sim.world import SimWorld
 
 __all__ = ["SimSession"]
-
-_ENDPOINTS = ("sender", "receiver")
 
 
 class SimSession:
@@ -80,7 +80,7 @@ class SimSession:
 
         # Streaming state
         self._plan: Optional[SessionPlan] = None
-        self._leases: List[HopLease] = []
+        self._leases: List[Reservation] = []
         self._services: Tuple[str, ...] = ()
         self._config: Optional[Configuration] = None
         self._planned_fps = 0.0
@@ -229,15 +229,7 @@ class SimSession:
             config = self._config.with_value(
                 FRAME_RATE, self._planned_fps * fraction
             )
-        return self._satisfaction_of(config)
-
-    def _satisfaction_of(self, config: Configuration) -> float:
-        values = [
-            self._satisfaction.individual(name, config[name])
-            for name in self._satisfaction.parameter_names()
-            if name in config
-        ]
-        return self._satisfaction.combiner(values) if values else 0.0
+        return self._satisfaction.score(config)
 
     def _integrate(self, observed: float, interval: float) -> None:
         if interval <= 0:
@@ -255,11 +247,11 @@ class SimSession:
     # ------------------------------------------------------------------
     # Replanning
     # ------------------------------------------------------------------
-    def _adopt(self, plan: SessionPlan, leases: List[HopLease]) -> None:
+    def _adopt(self, plan: SessionPlan, leases: List[Reservation]) -> None:
         self._plan = plan
         self._leases = leases
         self._services = tuple(
-            sid for sid in plan.result.path if sid not in _ENDPOINTS
+            sid for sid in plan.result.path if sid not in ENDPOINT_IDS
         )
         self._config = plan.result.configuration
         self._planned_fps = (
@@ -321,17 +313,8 @@ class SimSession:
             # Take the old chain back (guaranteed: its bandwidth was just
             # freed and the ledger validates against nominal capacity).
             self._leases = [
-                HopLease(
-                    source=lease.source,
-                    target=lease.target,
-                    format_name=lease.format_name,
-                    per_frame_bps=lease.per_frame_bps,
-                    route=lease.route,
-                    reservation=self._world.ledger.reserve(
-                        list(lease.route),
-                        lease.reservation.bandwidth_bps,
-                        label=lease.reservation.label,
-                    ),
+                self._world.ledger.reserve(
+                    lease.route, lease.bandwidth_bps, label=lease.label
                 )
                 for lease in old_leases
             ]

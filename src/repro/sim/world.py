@@ -35,10 +35,10 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 from repro.core.configuration import fits_within
 from repro.core.graph import CatalogView
 from repro.core.optimizer import OptimizeMemo
-from repro.core.parameters import FRAME_RATE
 from repro.errors import ReproError, ValidationError
+from repro.network.placement import ENDPOINT_IDS
 from repro.network.reservations import BandwidthLedger, Reservation
-from repro.network.topology import Link
+from repro.network.topology import Link, link_key
 from repro.planner.batch import BatchPlanner, PlanRequest
 from repro.planner.cache import PlanCache
 from repro.policy.engine import PolicyEngine
@@ -46,36 +46,19 @@ from repro.runtime.session import SessionPlan
 from repro.serve.health import HealthRegistry
 from repro.workloads.scenario import Scenario
 
-__all__ = ["Admission", "HopLease", "SimWorld"]
-
-#: Service ids the graph builder synthesizes for the endpoints; they are
-#: per-session, never in the shared catalog or placement.
-_ENDPOINT_IDS = ("sender", "receiver")
-
-
-def _canonical(a: str, b: str) -> Tuple[str, str]:
-    return (a, b) if a <= b else (b, a)
-
-
-@dataclass(frozen=True)
-class HopLease:
-    """One streaming hop's transport facts plus its ledger reservation."""
-
-    source: str
-    target: str
-    format_name: str
-    #: Bandwidth one frame per second costs on this hop (bits/s at 1 fps).
-    per_frame_bps: float
-    route: Tuple[str, ...]
-    reservation: Reservation
+__all__ = ["Admission", "SimWorld"]
 
 
 @dataclass(frozen=True)
 class Admission:
-    """One arrival's admission: its plan and leases, or why it was refused."""
+    """One arrival's admission: its plan and leases, or why it was refused.
+
+    The leases are one ledger :class:`Reservation` per chain hop, in chain
+    order.
+    """
 
     plan: Optional[SessionPlan]
-    leases: List[HopLease]
+    leases: List[Reservation]
     #: ``None`` when admitted, else the reason the arrival was rejected.
     rejection: Optional[str] = None
 
@@ -148,7 +131,7 @@ class SimWorld:
         link = self.scenario.topology.get_link(a, b)
         if not math.isfinite(factor) or factor < 0:
             raise ValidationError("link factor must be finite and >= 0")
-        key = _canonical(a, b)
+        key = link_key(a, b)
         if factor == 1.0:
             self._factors.pop(key, None)
         else:
@@ -157,7 +140,7 @@ class SimWorld:
         self._generation += 1
 
     def link_factor(self, a: str, b: str) -> float:
-        return self._factors.get(_canonical(a, b), 1.0)
+        return self._factors.get(link_key(a, b), 1.0)
 
     def fail_node(self, node_id: str) -> None:
         self.scenario.topology.get_node(node_id)
@@ -248,7 +231,7 @@ class SimWorld:
         now = self._clock()
         failed: Optional[str] = None
         for service_id in services:
-            if service_id in _ENDPOINT_IDS:
+            if service_id in ENDPOINT_IDS:
                 continue
             rate = self._gray_rates.get(service_id, 0.0)
             ok = rate <= 0.0 or self._gray_rng.random() >= rate
@@ -266,7 +249,7 @@ class SimWorld:
         if link.a in self._down_nodes or link.b in self._down_nodes:
             return 0.0
         return link.bandwidth_bps * self._factors.get(
-            _canonical(link.a, link.b), 1.0
+            link_key(link.a, link.b), 1.0
         )
 
     def supply_fraction(self, route: Tuple[str, ...]) -> float:
@@ -364,54 +347,49 @@ class SimWorld:
 
     def reserve_plan(
         self, plan: SessionPlan, request: PlanRequest, label: str = ""
-    ) -> Optional[List[HopLease]]:
+    ) -> Optional[List[Reservation]]:
         """Reserve every hop of a successful plan; all-or-nothing.
 
-        Each hop routes along the widest path of the live residual
-        topology (which already holds the hops before it) and must fit
-        entirely; on any failure the hops already taken are rolled back
-        and ``None`` is returned.
+        Each hop routes along the live residual topology's
+        :meth:`~repro.network.topology.NetworkTopology.hop_route` (the
+        residual already holds the hops before it) and must fit entirely;
+        on any failure the hops already taken are rolled back and ``None``
+        is returned.
         """
         config = plan.result.configuration
         assert config is not None  # guaranteed by plan.success
-        per_frame = config.with_value(FRAME_RATE, 1.0)
-        leases: List[HopLease] = []
+        placement = self.scenario.placement
+        residual = self.ledger.residual_topology()
+        leases: List[Reservation] = []
         for source, target, fmt_name in zip(
             plan.result.path, plan.result.path[1:], plan.result.formats
         ):
-            source_node = self._node_for(source, request)
-            target_node = self._node_for(target, request)
-            if source_node == target_node:
-                route: Optional[List[str]] = [source_node]
-            else:
-                route = self.ledger.residual_topology().widest_path(
-                    source_node, target_node
-                )
-            fmt = self.scenario.registry.get(fmt_name)
-            requirement = config.required_bandwidth(fmt)
+            route = residual.hop_route(
+                placement.node_for(
+                    source, request.sender_node, request.receiver_node
+                ),
+                placement.node_for(
+                    target, request.sender_node, request.receiver_node
+                ),
+            )
+            requirement = config.required_bandwidth(
+                self.scenario.registry.get(fmt_name)
+            )
             if route is None or not self._fits(route, requirement):
                 self.release(leases)
                 return None
             try:
-                reservation = self.ledger.reserve(
-                    route, requirement, label=label or f"{source}->{target}"
+                leases.append(
+                    self.ledger.reserve(
+                        route, requirement, label=label or f"{source}->{target}"
+                    )
                 )
             except ValidationError:
                 self.release(leases)
                 return None
-            leases.append(
-                HopLease(
-                    source=source,
-                    target=target,
-                    format_name=fmt_name,
-                    per_frame_bps=per_frame.required_bandwidth(fmt),
-                    route=tuple(route),
-                    reservation=reservation,
-                )
-            )
         return leases
 
-    def _fits(self, route: List[str], requirement: float) -> bool:
+    def _fits(self, route: Tuple[str, ...], requirement: float) -> bool:
         """Does the route's live residual carry the requirement?
 
         The ledger validates against nominal capacity, so this extra check
@@ -420,14 +398,7 @@ class SimWorld:
         residual = self.ledger.residual_topology()
         return fits_within(requirement, residual.path_bottleneck(route))
 
-    def release(self, leases: List[HopLease]) -> None:
+    def release(self, leases: List[Reservation]) -> None:
         """Return every lease's bandwidth to the ledger."""
         for lease in leases:
-            self.ledger.release(lease.reservation)
-
-    def _node_for(self, service_id: str, request: PlanRequest) -> str:
-        if service_id == _ENDPOINT_IDS[0]:
-            return request.sender_node
-        if service_id == _ENDPOINT_IDS[1]:
-            return request.receiver_node
-        return self.scenario.placement.node_of(service_id)
+            self.ledger.release(lease)

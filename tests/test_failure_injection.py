@@ -65,7 +65,14 @@ class TestPipelineFailures:
         )
         pipeline = DeliveryPipeline(placement, registry)
         with pytest.raises(PipelineError) as exc:
-            pipeline.stream(chain, config, lambda c: 1.0, duration_s=5.0)
+            pipeline.stream(
+                chain,
+                config,
+                lambda c: 1.0,
+                sender_node="ns",
+                receiver_node="nr",
+                duration_s=5.0,
+            )
         assert "disconnected" in str(exc.value)
 
     def test_overloaded_host_raises_pipeline_error(self):
@@ -81,7 +88,14 @@ class TestPipelineFailures:
         )
         pipeline = DeliveryPipeline(placement, registry)
         with pytest.raises(PipelineError) as exc:
-            pipeline.stream(chain, config, lambda c: 1.0, duration_s=5.0)
+            pipeline.stream(
+                chain,
+                config,
+                lambda c: 1.0,
+                sender_node="ns",
+                receiver_node="nr",
+                duration_s=5.0,
+            )
         assert "MIPS" in str(exc.value)
 
     def test_unplaced_service_raises(self):
@@ -93,7 +107,14 @@ class TestPipelineFailures:
         placement = ServicePlacement(topology, {"sender": "ns", "receiver": "nr"})
         pipeline = DeliveryPipeline(placement, registry)
         with pytest.raises(Exception):  # PlacementError for the X hop
-            pipeline.stream(chain, config, lambda c: 1.0, duration_s=5.0)
+            pipeline.stream(
+                chain,
+                config,
+                lambda c: 1.0,
+                sender_node="ns",
+                receiver_node="nr",
+                duration_s=5.0,
+            )
 
     def test_zero_duration_rejected(self, fig6):
         session = fig6.session()

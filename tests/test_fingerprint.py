@@ -21,7 +21,7 @@ from repro.core.satisfaction import (
 from repro.formats.format import MediaFormat, MediaType
 from repro.formats.variants import ContentVariant
 from repro.core.configuration import Configuration
-from repro.core.parameters import FRAME_RATE
+from repro.core.parameters import COLOR_DEPTH, FRAME_RATE, RESOLUTION
 from repro.core.selection import TieBreakPolicy
 from repro.planner import PlanCache, fingerprint_request
 from repro.profiles.context import ContextProfile
@@ -227,6 +227,55 @@ def test_reservation_changes_fingerprint_of_residual_view_request():
     # Release restores the residual's content, and with it the key: the
     # plan of that state is the plan of the unbooked world.
     assert _fingerprint(scenario, view=view) == base
+
+
+def test_variant_assignment_order_changes_fingerprint():
+    """The optimizer breaks degrade-order ties by assignment order, so the
+    same variant values assigned in another order key another plan."""
+    from repro.planner import BatchPlanner, PlanRequest
+    from repro.profiles.content import ContentProfile
+    from repro.workloads.paper import figure6_scenario
+
+    scenario = figure6_scenario()
+    [variant] = scenario.content.variants
+    values = variant.configuration.as_dict()
+    assert list(values) == [FRAME_RATE, RESOLUTION, COLOR_DEPTH]
+    reordered = ContentVariant(
+        format=variant.format,
+        configuration=Configuration(
+            {name: values[name] for name in (FRAME_RATE, COLOR_DEPTH, RESOLUTION)}
+        ),
+        title=variant.title,
+    )
+    # Equal values: the variants compare and hash alike ...
+    assert reordered == variant
+    assert hash(reordered) == hash(variant)
+    # ... but key apart.
+    assert reordered.cache_key() != variant.cache_key()
+
+    def request(content):
+        return PlanRequest(
+            content=content,
+            device=scenario.device,
+            user=scenario.user,
+            sender_node=scenario.sender_node,
+            receiver_node=scenario.receiver_node,
+        )
+
+    content = scenario.content
+    planner = BatchPlanner.for_scenario(scenario)
+    same = ContentProfile(
+        content_id=content.content_id, variants=[variant], title=content.title
+    )
+    other = ContentProfile(
+        content_id=content.content_id, variants=[reordered], title=content.title
+    )
+    assert planner.fingerprint(request(same)) == planner.fingerprint(
+        request(content)
+    )
+    assert planner.fingerprint(request(other)) != planner.fingerprint(
+        request(content)
+    )
 
 
 # ----------------------------------------------------------------------

@@ -158,6 +158,13 @@ class TestRouting:
         assert topology.widest_path("a", "island") is None
         assert topology.available_bandwidth("a", "island") == 0.0
 
+    def test_hop_route(self):
+        topology = diamond_topology()
+        topology.node("island")
+        assert topology.hop_route("a", "d") == ("a", "b", "d")
+        assert topology.hop_route("b", "b") == ("b",)
+        assert topology.hop_route("a", "island") is None
+
     def test_unknown_node_raises(self):
         with pytest.raises(UnknownNodeError):
             diamond_topology().widest_path("a", "ghost")
@@ -320,6 +327,15 @@ class TestServicePlacement:
     def test_unplaced_lookup_raises(self):
         with pytest.raises(PlacementError):
             self._placement().node_of("T9")
+
+    def test_node_for_maps_endpoints_to_the_session(self):
+        placement = self._placement()
+        assert placement.node_for("sender", "a", "d") == "a"
+        assert placement.node_for("receiver", "a", "d") == "d"
+        assert placement.node_for("T1", "a", "d") == "b"
+        with pytest.raises(PlacementError):
+            placement.node_for("T9", "a", "d")
+        assert not placement.is_placed("sender")
 
     def test_co_location_and_bandwidth(self):
         placement = self._placement()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import pytest
@@ -192,6 +193,30 @@ class TestDelivery:
         categories = {event.category for event in log}
         assert "pipeline" in categories
         assert len(log) >= 3
+
+    def test_delivery_leaves_the_shared_placement_alone(self):
+        """Endpoints map to each session's own nodes: delivering never
+        writes the shared placement, so a later session from another
+        sender host streams exactly as it would on a fresh scenario."""
+
+        def deliver_from(scenario, sender_node):
+            session = dataclasses.replace(
+                scenario, sender_node=sender_node
+            ).session()
+            return session.deliver(session.plan(), duration_s=10.0)
+
+        scenario = figure6_scenario()
+        generation = scenario.placement.generation
+        senders = ("ns", "nr", "n1")
+        reports = [deliver_from(scenario, node) for node in senders]
+        assert scenario.placement.generation == generation
+        for node, report in zip(senders, reports):
+            assert report == deliver_from(figure6_scenario(), node)
+        assert [round(r.startup_latency_s * 1000, 1) for r in reports] == [
+            116.2,
+            179.0,
+            121.2,
+        ]
 
 
 class TestSessionOnSynthetic:

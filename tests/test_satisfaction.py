@@ -256,6 +256,14 @@ class TestCombinedSatisfaction:
         with pytest.raises(UnknownParameterError):
             self._model().evaluate({"frame_rate": 15.0})
 
+    def test_score_skips_absent_parameters(self):
+        model = self._model()
+        assert model.score({"frame_rate": 15.0, "resolution": 50.0}) == (
+            model.evaluate({"frame_rate": 15.0, "resolution": 50.0})
+        )
+        assert model.score({"frame_rate": 15.0}) == pytest.approx(0.5)
+        assert model.score({"color_depth": 8.0}) == 0.0
+
     def test_individual(self):
         assert self._model().individual("frame_rate", 15.0) == pytest.approx(0.5)
 

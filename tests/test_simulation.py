@@ -342,7 +342,7 @@ class TestWorldResidual:
         plan = world.plan(request)
         leases = world.reserve_plan(plan, request)
         assert leases is not None
-        load = max(lease.reservation.bandwidth_bps for lease in leases)
+        load = max(lease.bandwidth_bps for lease in leases)
         # Squeeze every link out of the sender below the chain's load:
         # any route a new plan could take now crosses a squeezed link.
         sender = small_scenario.sender_node
@@ -356,7 +356,7 @@ class TestWorldResidual:
         # chain can be taken back, at a degraded supply.
         taken = [
             world.ledger.reserve(
-                list(lease.route), lease.reservation.bandwidth_bps
+                list(lease.route), lease.bandwidth_bps
             )
             for lease in leases
         ]
