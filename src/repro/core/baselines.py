@@ -13,6 +13,9 @@ satisfaction, and not the available bandwidth or the number of hops"
 - :class:`CheapestPathSelector` — minimize accumulated monetary cost.
 - :class:`RandomPathSelector` — seeded random walk; the sanity floor.
 
+The three classic criteria are one best-first search over (vertex,
+formats-used) states that differ only in the key each edge adds.
+
 All baselines share :func:`evaluate_path`, which computes the best
 deliverable configuration *for a fixed path* by greedy per-hop
 maximization — optimal on a fixed path because quality only moves downward
@@ -23,7 +26,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.configuration import Configuration
 from repro.core.graph import AdaptationGraph, Edge
@@ -123,7 +126,13 @@ _FAILURE = SelectionResult(
 
 
 class PathSelectorBase:
-    """Common wiring for the baselines."""
+    """Common wiring for the baselines.
+
+    :meth:`run` evaluates every candidate path the selector offers and
+    keeps the best by (satisfaction, fewer hops, smaller service order).
+    Single-path selectors offer the one path their ``_find_path`` returns;
+    :class:`ExhaustiveSelector` offers every enumerated path.
+    """
 
     def __init__(
         self,
@@ -142,23 +151,29 @@ class PathSelectorBase:
         self._optimizer = ConfigurationOptimizer(parameters, satisfaction, degrade_order)
 
     def run(self) -> SelectionResult:
-        edges = self._find_path()
-        if edges is None:
+        best = None
+        for edges in self._candidate_paths():
+            evaluation = evaluate_path(
+                self._graph,
+                edges,
+                self._registry,
+                self._optimizer,
+                self._budget,
+                self._max_delay_ms,
+            )
+            if evaluation is None:
+                continue
+            order_key = tuple(service_sort_key(e.target) for e in edges)
+            candidate = (-evaluation[1], len(edges), order_key)
+            if best is None or candidate < best[0]:
+                best = (candidate, edges, evaluation)
+        if best is None:
             return _FAILURE
-        evaluation = evaluate_path(
-            self._graph,
-            edges,
-            self._registry,
-            self._optimizer,
-            self._budget,
-            self._max_delay_ms,
-        )
-        if evaluation is None:
-            return _FAILURE
-        return _edges_to_result(edges, evaluation)
+        return _edges_to_result(best[1], best[2])
 
-    def _find_path(self) -> Optional[List[Edge]]:
-        raise NotImplementedError
+    def _candidate_paths(self) -> Iterable[Sequence[Edge]]:
+        edges = self._find_path()
+        return () if edges is None else (edges,)
 
 
 class ExhaustiveSelector(PathSelectorBase):
@@ -177,129 +192,98 @@ class ExhaustiveSelector(PathSelectorBase):
         self.paths_examined = 0
         self.hit_enumeration_bound = False
 
-    def run(self) -> SelectionResult:
-        best: Optional[Tuple[float, int, Tuple[Tuple[str, float], ...], List[Edge], Tuple]] = None
+    def _candidate_paths(self) -> Iterable[Sequence[Edge]]:
         self.paths_examined = 0
-        count = 0
         for edges in self._graph.enumerate_paths(
             max_paths=self._max_paths, max_hops=self._max_hops
         ):
-            count += 1
-            evaluation = evaluate_path(
-                self._graph,
-                edges,
-                self._registry,
-                self._optimizer,
-                self._budget,
-                self._max_delay_ms,
-            )
-            if evaluation is None:
-                continue
-            _, satisfaction, _ = evaluation
-            order_key = tuple(service_sort_key(e.target) for e in edges)
-            candidate = (-satisfaction, len(edges), order_key)
-            if best is None or candidate < best[0]:
-                best = (candidate, edges, evaluation)
-        self.paths_examined = count
-        self.hit_enumeration_bound = count >= self._max_paths
-        if best is None:
-            return _FAILURE
-        return _edges_to_result(best[1], best[2])
-
-    def _find_path(self) -> Optional[List[Edge]]:  # pragma: no cover - unused
-        raise NotImplementedError("ExhaustiveSelector overrides run()")
+            self.paths_examined += 1
+            yield edges
+        self.hit_enumeration_bound = self.paths_examined >= self._max_paths
 
 
-#: Cap on explored (vertex, formats-used) states in the classic baselines.
+#: Cap on labeled (vertex, formats-used) states in the classic baselines.
 #: The distinct-format rule makes the exact state space exponential in the
-#: format count; past this bound the searches keep only the first (hence,
-#: for BFS, shortest) states — ample for every scenario family we generate,
-#: and a documented approximation beyond.
+#: format count; past this bound the search keeps only the states labeled
+#: first (hence, for unit hop keys, the shortest) — ample for every
+#: scenario family we generate, and a documented approximation beyond.
 _MAX_SEARCH_STATES = 200_000
 
 
-class FewestHopsSelector(PathSelectorBase):
-    """Breadth-first fewest-hops path, respecting the distinct-format rule.
+def _best_first_path(
+    graph: AdaptationGraph, start_key: Any, extend: Callable[[Any, Edge], Any]
+) -> Optional[List[Edge]]:
+    """The sender-to-receiver edges of the minimal-key distinct-format path.
 
-    The search state is (vertex, formats-used); BFS over states finds a
-    true fewest-hops distinct-format path.  Exploration is bounded by
-    ``_MAX_SEARCH_STATES`` (BFS order means the bound can only cut *longer*
-    paths than the ones already queued).
+    A label-setting search over (vertex, formats-used) states: the sender
+    starts at ``start_key`` and each edge maps its tail's key to
+    ``extend(key, edge)``.  States settle in key order, equal keys in push
+    order; a labeled state keeps its first parent unless a strictly
+    smaller key reaches it; at most ``_MAX_SEARCH_STATES`` states get a
+    label.  With unit hop keys the push order is a FIFO queue's, so this
+    is breadth-first search.
+    """
+    start = (graph.sender_id, frozenset())
+    keys: Dict[Tuple[str, frozenset], Any] = {start: start_key}
+    parents: Dict[Tuple[str, frozenset], Tuple[Tuple[str, frozenset], Edge]] = {}
+    heap = LazySettleHeap()
+    heap.push(start_key, start)
+    done: Set[Tuple[str, frozenset]] = set()
+    while True:
+        popped = heap.pop_current(lambda state: state not in done)
+        if popped is None:
+            return None
+        key, state = popped
+        done.add(state)
+        vertex_id, formats = state
+        if vertex_id == graph.receiver_id:
+            edges: List[Edge] = []
+            while state in parents:
+                state, edge = parents[state]
+                edges.append(edge)
+            edges.reverse()
+            return edges
+        for edge in graph.out_edges(vertex_id):
+            if edge.format_name in formats:
+                continue
+            next_state = (edge.target, formats | {edge.format_name})
+            if next_state in done:
+                continue
+            candidate = extend(key, edge)
+            if candidate < keys.get(next_state, math.inf):
+                if next_state not in keys and len(keys) >= _MAX_SEARCH_STATES:
+                    continue
+                keys[next_state] = candidate
+                parents[next_state] = (state, edge)
+                heap.push(candidate, next_state)
+
+
+class FewestHopsSelector(PathSelectorBase):
+    """Fewest-hops path, respecting the distinct-format rule.
+
+    The best-first search with unit hop keys is breadth-first search over
+    (vertex, formats-used) states, so it finds a true fewest-hops
+    distinct-format path; the state cap can only cut paths longer than
+    the ones already labeled.
     """
 
     def _find_path(self) -> Optional[List[Edge]]:
-        graph = self._graph
-        start = (graph.sender_id, frozenset())
-        queue: List[Tuple[str, frozenset]] = [start]
-        parents: Dict[Tuple[str, frozenset], Tuple[Tuple[str, frozenset], Edge]] = {}
-        seen: Set[Tuple[str, frozenset]] = {start}
-        head = 0
-        while head < len(queue):
-            vertex_id, formats = queue[head]
-            head += 1
-            if vertex_id == graph.receiver_id:
-                return self._unwind(parents, (vertex_id, formats))
-            for edge in graph.out_edges(vertex_id):
-                if edge.format_name in formats:
-                    continue
-                state = (edge.target, formats | {edge.format_name})
-                if state in seen:
-                    continue
-                if len(seen) >= _MAX_SEARCH_STATES:
-                    continue
-                seen.add(state)
-                parents[state] = ((vertex_id, formats), edge)
-                queue.append(state)
-        return None
-
-    @staticmethod
-    def _unwind(parents, state) -> List[Edge]:
-        edges: List[Edge] = []
-        while state in parents:
-            state, edge = parents[state]
-            edges.append(edge)
-        edges.reverse()
-        return edges
+        return _best_first_path(self._graph, 0, lambda hops, edge: hops + 1)
 
 
 class WidestPathSelector(PathSelectorBase):
     """Max-bottleneck-bandwidth path over the adaptation graph's edges.
 
-    A max-bottleneck Dijkstra over (vertex, formats-used) states; the
-    classic "grab the fattest pipe" heuristic the paper contrasts with.
+    The best-first search keyed by the negated bottleneck; the classic
+    "grab the fattest pipe" heuristic the paper contrasts with.
     """
 
     def _find_path(self) -> Optional[List[Edge]]:
-        graph = self._graph
-        start = (graph.sender_id, frozenset())
-        best: Dict[Tuple[str, frozenset], float] = {start: math.inf}
-        parents: Dict[Tuple[str, frozenset], Tuple[Tuple[str, frozenset], Edge]] = {}
-        heap = LazySettleHeap()
-        heap.push(-math.inf, start)
-        done: Set[Tuple[str, frozenset]] = set()
-        while True:
-            popped = heap.pop_current(lambda state: state not in done)
-            if popped is None:
-                return None
-            neg_width, state = popped
-            done.add(state)
-            vertex_id, formats = state
-            if vertex_id == graph.receiver_id:
-                return FewestHopsSelector._unwind(parents, state)
-            width = -neg_width
-            for edge in graph.out_edges(vertex_id):
-                if edge.format_name in formats:
-                    continue
-                next_state = (edge.target, formats | {edge.format_name})
-                if next_state in done:
-                    continue
-                candidate = min(width, edge.bandwidth_bps)
-                if candidate > best.get(next_state, -1.0):
-                    if next_state not in best and len(best) >= _MAX_SEARCH_STATES:
-                        continue
-                    best[next_state] = candidate
-                    parents[next_state] = (state, edge)
-                    heap.push(-candidate, next_state)
+        return _best_first_path(
+            self._graph,
+            -math.inf,
+            lambda key, edge: -min(-key, edge.bandwidth_bps),
+        )
 
 
 class CheapestPathSelector(PathSelectorBase):
@@ -307,35 +291,12 @@ class CheapestPathSelector(PathSelectorBase):
 
     def _find_path(self) -> Optional[List[Edge]]:
         graph = self._graph
-        start = (graph.sender_id, frozenset())
-        distance: Dict[Tuple[str, frozenset], float] = {start: 0.0}
-        parents: Dict[Tuple[str, frozenset], Tuple[Tuple[str, frozenset], Edge]] = {}
-        heap = LazySettleHeap()
-        heap.push(0.0, start)
-        done: Set[Tuple[str, frozenset]] = set()
-        while True:
-            popped = heap.pop_current(lambda state: state not in done)
-            if popped is None:
-                return None
-            cost, state = popped
-            done.add(state)
-            vertex_id, formats = state
-            if vertex_id == graph.receiver_id:
-                return FewestHopsSelector._unwind(parents, state)
-            for edge in graph.out_edges(vertex_id):
-                if edge.format_name in formats:
-                    continue
-                next_state = (edge.target, formats | {edge.format_name})
-                if next_state in done:
-                    continue
-                step = graph.vertex(edge.target).service.cost + edge.transmission_cost
-                candidate = cost + step
-                if candidate < distance.get(next_state, math.inf):
-                    if next_state not in distance and len(distance) >= _MAX_SEARCH_STATES:
-                        continue
-                    distance[next_state] = candidate
-                    parents[next_state] = (state, edge)
-                    heap.push(candidate, next_state)
+        return _best_first_path(
+            graph,
+            0.0,
+            lambda cost, edge: cost
+            + (graph.vertex(edge.target).service.cost + edge.transmission_cost),
+        )
 
 
 class RandomPathSelector(PathSelectorBase):

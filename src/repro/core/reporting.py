@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import csv
 import io
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from repro.core.selection import SelectionResult
 from repro.core.trace import SelectionTrace
@@ -58,27 +58,9 @@ def markdown_table(headers: Sequence[str], rows: Iterable[Sequence[str]]) -> str
     return "\n".join(lines)
 
 
-def _trace_rows(trace: SelectionTrace) -> List[Sequence[str]]:
-    rows: List[Sequence[str]] = []
-    for round_ in trace:
-        vt, cs = round_.displayed_sets()
-        rows.append(
-            (
-                str(round_.number),
-                vt,
-                cs,
-                round_.selected,
-                round_.displayed_path(),
-                round_.displayed_frame_rate(),
-                round_.displayed_satisfaction(),
-            )
-        )
-    return rows
-
-
 def trace_to_markdown(trace: SelectionTrace) -> str:
     """The selection trace as a Markdown table (Table 1's layout)."""
-    return markdown_table(_TRACE_HEADERS, _trace_rows(trace))
+    return markdown_table(_TRACE_HEADERS, trace.table_rows())
 
 
 def trace_to_csv(trace: SelectionTrace) -> str:
@@ -86,7 +68,7 @@ def trace_to_csv(trace: SelectionTrace) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer)
     writer.writerow(_TRACE_HEADERS)
-    writer.writerows(_trace_rows(trace))
+    writer.writerows(trace.table_rows())
     return buffer.getvalue()
 
 

@@ -116,20 +116,7 @@ class SelectionTrace:
             "FPS",
             "Satisfaction",
         )
-        rows = []
-        for round_ in self.rounds:
-            vt, cs = round_.displayed_sets()
-            rows.append(
-                (
-                    str(round_.number),
-                    vt,
-                    cs,
-                    round_.selected,
-                    round_.displayed_path(),
-                    round_.displayed_frame_rate(),
-                    round_.displayed_satisfaction(),
-                )
-            )
+        rows = self.table_rows()
         widths = [
             min(max(len(headers[i]), *(len(r[i]) for r in rows)) if rows else len(headers[i]), max_set_width)
             for i in range(len(headers))
@@ -173,3 +160,7 @@ class SelectionTrace:
     def paper_rows(self) -> List[Tuple[str, str, str, str, str, str]]:
         """All rows in paper form, for cell-by-cell comparison in tests."""
         return [round_.as_paper_row() for round_ in self.rounds]
+
+    def table_rows(self) -> List[Tuple[str, ...]]:
+        """Table 1's rows with the round number first, one cell per column."""
+        return [(str(round_.number),) + round_.as_paper_row() for round_ in self.rounds]

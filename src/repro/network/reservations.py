@@ -118,14 +118,6 @@ class BandwidthLedger:
         with self._lock:
             return list(self._active.values())
 
-    def total_reserved(self) -> float:
-        """Sum of reservation demands (bps x links), an accounting aid."""
-        with self._lock:
-            return sum(
-                reservation.bandwidth_bps * len(reservation.links())
-                for reservation in self._active.values()
-            )
-
     def residual_topology(self) -> NetworkTopology:
         """The live topology whose link capacities are the residuals.
 

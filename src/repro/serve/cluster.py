@@ -57,7 +57,12 @@ from repro.runtime.metrics import (
     merge_histogram_dicts,
     metrics_document,
 )
-from repro.serve.gateway import GatewayConfig, PlanningGateway, serve_connection
+from repro.serve.gateway import (
+    GatewayConfig,
+    PlanningGateway,
+    serve_connection,
+    wait_for_drain,
+)
 from repro.serve.health import open_majority
 from repro.serve.http11 import read_response, render_request
 from repro.serve.metrics import LATENCY_BUCKETS_MS, SATISFACTION_BUCKETS
@@ -424,23 +429,12 @@ class ClusterSupervisor:
         await self.start()
         if on_ready is not None:
             on_ready(self)
-        loop = asyncio.get_running_loop()
-        if install_signals:
-            for signum in (signal.SIGTERM, signal.SIGINT):
-                loop.add_signal_handler(signum, self.request_drain)
-            if self._scenario_path is not None:
-                loop.add_signal_handler(
-                    signal.SIGHUP,
-                    lambda: loop.create_task(self._broadcast_reload_path()),
-                )
-        try:
-            await self._drain_requested.wait()
-        finally:
-            if install_signals:
-                for signum in (signal.SIGTERM, signal.SIGINT):
-                    loop.remove_signal_handler(signum)
-                if self._scenario_path is not None:
-                    loop.remove_signal_handler(signal.SIGHUP)
+        await wait_for_drain(
+            self._drain_requested,
+            self.request_drain,
+            self._broadcast_reload_path if self._scenario_path is not None else None,
+            install_signals,
+        )
         return await self.drain()
 
     async def drain(self) -> Dict[str, Any]:

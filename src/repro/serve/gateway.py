@@ -263,6 +263,34 @@ async def serve_connection(
             pass
 
 
+async def wait_for_drain(
+    drain_requested: asyncio.Event,
+    request_drain: Callable[[], None],
+    reload: Optional[Callable[[], Awaitable[None]]],
+    install_signals: bool,
+) -> None:
+    """Wait until a drain is requested, with the serving signals wired.
+
+    The one signal wiring of the gateway and the cluster supervisor:
+    SIGTERM/SIGINT call ``request_drain``; SIGHUP runs ``reload`` as a
+    task when one is given (serving from a scenario file).  The handlers
+    are removed once the wait ends.
+    """
+    loop = asyncio.get_running_loop()
+    handlers: Dict[int, Callable[[], Any]] = {}
+    if install_signals:
+        handlers = {signal.SIGTERM: request_drain, signal.SIGINT: request_drain}
+        if reload is not None:
+            handlers[signal.SIGHUP] = lambda: loop.create_task(reload())
+    for signum, handler in handlers.items():
+        loop.add_signal_handler(signum, handler)
+    try:
+        await drain_requested.wait()
+    finally:
+        for signum in handlers:
+            loop.remove_signal_handler(signum)
+
+
 class PlanningGateway:
     """The serving daemon; see the module docstring for the architecture."""
 
@@ -547,23 +575,12 @@ class PlanningGateway:
         await self.start(sock=sock)
         if on_ready is not None:
             on_ready(self)
-        loop = asyncio.get_running_loop()
-        if install_signals:
-            for signum in (signal.SIGTERM, signal.SIGINT):
-                loop.add_signal_handler(signum, self.request_drain)
-            if self._scenario_path is not None:
-                loop.add_signal_handler(
-                    signal.SIGHUP,
-                    lambda: loop.create_task(self._reload_from_path()),
-                )
-        try:
-            await self._drain_requested.wait()
-        finally:
-            if install_signals:
-                for signum in (signal.SIGTERM, signal.SIGINT):
-                    loop.remove_signal_handler(signum)
-                if self._scenario_path is not None:
-                    loop.remove_signal_handler(signal.SIGHUP)
+        await wait_for_drain(
+            self._drain_requested,
+            self.request_drain,
+            self._reload_from_path if self._scenario_path is not None else None,
+            install_signals,
+        )
         return await self.drain()
 
     async def drain(self) -> Dict[str, Any]:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import asyncio
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional
 
 from repro.errors import GatewayProtocolError
 
@@ -201,8 +201,3 @@ def render_response(
     lines.extend(f"{name}: {value}" for name, value in sorted(merged.items()))
     head = "\r\n".join(lines) + "\r\n\r\n"
     return head.encode("latin-1") + body
-
-
-def status_reason(status: int) -> Tuple[int, str]:
-    """The (status, reason) pair the renderer would emit."""
-    return status, _REASONS.get(status, "Unknown")

@@ -24,7 +24,11 @@ from repro.formats.registry import FormatRegistry
 from repro.profiles.content import ContentProfile
 from repro.profiles.context import ContextProfile
 from repro.profiles.device import DeviceProfile
-from repro.profiles.serialization import profile_from_dict
+from repro.profiles.serialization import (
+    _require,
+    group_receivers_from_list,
+    profile_from_dict,
+)
 from repro.profiles.user import UserProfile
 from repro.runtime.session import SessionPlan
 
@@ -83,13 +87,23 @@ def decode_plan_request(
     max_deadline_ms: float,
 ) -> PlanRequestEnvelope:
     """Parse and validate one ``POST /plan`` body."""
+    return _plan_envelope(_json_object(body), registry, max_deadline_ms)
+
+
+def _json_object(body: bytes) -> Mapping:
     try:
         data = json.loads(body.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ValidationError(f"request body is not valid JSON: {exc}") from None
     if not isinstance(data, Mapping):
         raise ValidationError("request body must be a JSON object")
+    return data
 
+
+def _plan_envelope(
+    data: Mapping, registry: FormatRegistry, max_deadline_ms: float
+) -> PlanRequestEnvelope:
+    """The envelope fields ``/plan`` and ``/plan-group`` share."""
     client = data.get("client", "anonymous")
     if not isinstance(client, str) or not client:
         raise ValidationError("'client' must be a non-empty string")
@@ -159,18 +173,14 @@ def decode_group_plan_request(
     # identical malformations with identical messages; /plan tolerates a
     # missing body ({} plans the scenario defaults), so the only extra
     # strictness here is the receivers array.
-    from repro.profiles.serialization import group_receivers_from_list
-
-    base = decode_plan_request(body, registry, max_deadline_ms)
+    data = _json_object(body)
+    base = _plan_envelope(data, registry, max_deadline_ms)
     if base.device is not None:
         raise ValidationError(
             "group requests carry receiver devices in 'receivers', "
             "not a top-level 'device'"
         )
-    data = json.loads(body.decode("utf-8"))
-    receivers = group_receivers_from_list(
-        _require_key(data, "receivers", "group request")
-    )
+    receivers = group_receivers_from_list(_require(data, "receivers", "group request"))
     return GroupPlanEnvelope(
         client=base.client,
         deadline_ms=base.deadline_ms,
@@ -181,12 +191,6 @@ def decode_group_plan_request(
         sender=base.sender,
         receiver=base.receiver,
     )
-
-
-def _require_key(data: Mapping, key: str, what: str) -> Any:
-    if key not in data:
-        raise ValidationError(f"{what} is missing required key {key!r}")
-    return data[key]
 
 
 def decode_reload_scenario(body: bytes):

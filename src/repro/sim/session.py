@@ -263,16 +263,12 @@ class SimSession:
 
     def _try_acquire(self) -> None:
         """Plan and reserve from nothing (post-interrupt or stalled)."""
-        plan = self._world.plan(self._request)
-        leases = (
-            self._world.reserve_plan(
-                plan, self._request, label=f"session-{self.session_id}"
-            )
-            if plan is not None
-            else None
+        admission = self._world.admit(
+            self._request, label=f"session-{self.session_id}"
         )
-        if plan is not None and leases is not None:
-            self._adopt(plan, leases)
+        if admission.admitted:
+            plan = admission.plan
+            self._adopt(plan, admission.leases)
             self._replans += 1
             self._sim.record(
                 "replan",

@@ -160,9 +160,6 @@ class SimWorld:
             self.ledger.set_capacity(node_id, peer, self.effective_capacity(link))
         self._generation += 1
 
-    def node_is_down(self, node_id: str) -> bool:
-        return node_id in self._down_nodes
-
     def crash_service(self, service_id: str) -> None:
         self.scenario.catalog.get(service_id)
         self._down_services.add(service_id)
@@ -216,9 +213,6 @@ class SimWorld:
 
     def clear_gray_failure(self, service_id: str) -> None:
         self._gray_rates.pop(service_id, None)
-
-    def gray_rate(self, service_id: str) -> float:
-        return self._gray_rates.get(service_id, 0.0)
 
     def attempt_chain(self, services: Sequence[str]) -> Optional[str]:
         """Roll one delivery attempt across ``services``.
