@@ -193,7 +193,14 @@ class AdaptationGraph:
         return self._vertex_rank
 
     def edges(self) -> List[Edge]:
-        return [edge for edges in self._out_edges.values() for edge in edges]
+        """All edges, by source in natural order, then as :meth:`out_edges`.
+
+        The order depends only on the graph's content, not on the order
+        its vertices were passed in.
+        """
+        return [
+            edge for source in self._ordered_ids for edge in self._out_edges[source]
+        ]
 
     def out_edges(self, service_id: str) -> Tuple[Edge, ...]:
         """Outgoing edges, ordered by target id then format name.

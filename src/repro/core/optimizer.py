@@ -68,6 +68,7 @@ __all__ = [
     "OptimizeMemoStats",
     "OptimizeMemo",
     "ConfigurationOptimizer",
+    "caps_key",
 ]
 
 #: Bisection iterations for the quality-ray phase; 2^-60 of the parameter
@@ -88,6 +89,17 @@ class OptimizationConstraints:
     caps: Mapping[str, float]
     fmt: MediaFormat
     bandwidth_bps: float
+
+
+def caps_key(caps: Mapping[str, float]) -> Tuple:
+    """The caps part of an :class:`OptimizeMemo` key; the format part is
+    :meth:`MediaFormat.cache_key`.
+
+    A selector run asks for the same service's caps and the same edge
+    format many times, so it builds both once per vertex and per format
+    and hands them to :meth:`ConfigurationOptimizer.optimize`.
+    """
+    return tuple(sorted(caps.items()))
 
 
 @dataclass(frozen=True)
@@ -307,7 +319,11 @@ class ConfigurationOptimizer:
     # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
-    def optimize(self, constraints: OptimizationConstraints) -> Optional[OptimizedChoice]:
+    def optimize(
+        self,
+        constraints: OptimizationConstraints,
+        key_parts: Optional[Tuple[Tuple, Tuple]] = None,
+    ) -> Optional[OptimizedChoice]:
         """Best feasible configuration, or ``None`` when nothing fits.
 
         ``None`` means even every parameter at its domain minimum exceeds
@@ -316,12 +332,14 @@ class ConfigurationOptimizer:
         sharing the memo and this optimizer's context fingerprint) returns
         the stored answer without re-running the four phases, and so does
         any bandwidth that carries the ceiling of an (upstream, caps,
-        format) solved before at some other bandwidth.
+        format) solved before at some other bandwidth.  ``key_parts`` is
+        the constraints' (:func:`caps_key`, format ``cache_key()``), when
+        the caller has already built them.
         """
         self.optimize_calls += 1
         if self._memo is None:
             return self._optimize_fresh(constraints)
-        key = self._memo_key(constraints)
+        key = self._memo_key(constraints, key_parts)
         bandwidth = constraints.bandwidth_bps
         cached = self._memo.lookup(key, bandwidth)
         if not OptimizeMemo.is_miss(cached):
@@ -376,7 +394,11 @@ class ConfigurationOptimizer:
     # ------------------------------------------------------------------
     # Memo fingerprints
     # ------------------------------------------------------------------
-    def _memo_key(self, constraints: OptimizationConstraints) -> Tuple:
+    def _memo_key(
+        self,
+        constraints: OptimizationConstraints,
+        key_parts: Optional[Tuple[Tuple, Tuple]],
+    ) -> Tuple:
         """An interned fingerprint of (optimizer identity, constraints),
         without the bandwidth (see :class:`OptimizeMemo`).
 
@@ -386,12 +408,9 @@ class ConfigurationOptimizer:
         """
         if self._context_key is None:
             self._context_key = self._build_context_key()
-        return (
-            self._context_key,
-            constraints.upstream.items_key(),
-            tuple(sorted(constraints.caps.items())),
-            constraints.fmt.cache_key(),
-        )
+        if key_parts is None:
+            key_parts = (caps_key(constraints.caps), constraints.fmt.cache_key())
+        return (self._context_key, constraints.upstream.items_key(), *key_parts)
 
     def _build_context_key(self) -> Tuple:
         parameter_key = []

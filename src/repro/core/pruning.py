@@ -58,7 +58,10 @@ class GraphPruner:
     """Applies the Section-4 graph reductions."""
 
     def prune(self, graph: AdaptationGraph) -> Tuple[AdaptationGraph, PruningReport]:
-        """Return the reduced graph plus a report of what was removed."""
+        """Return the reduced graph plus a report of what was removed.
+
+        A graph with nothing to remove comes back as the same object.
+        """
         vertices_before = len(graph)
         edges_before = graph.edge_count()
 
@@ -68,8 +71,6 @@ class GraphPruner:
         # FAILURE rather than crashing.
         keep.add(graph.sender_id)
         keep.add(graph.receiver_id)
-
-        surviving_vertices = [v for v in graph.vertices() if v.service_id in keep]
 
         best_edge: Dict[Tuple[str, str, str], Edge] = {}
         for edge in graph.edges():
@@ -81,8 +82,17 @@ class GraphPruner:
             incumbent = best_edge.get(key)
             if incumbent is None or self._dominates(edge, incumbent):
                 best_edge[key] = edge
-        surviving_edges = list(best_edge.values())
 
+        if len(keep) == vertices_before and len(best_edge) == edges_before:
+            # Every vertex and edge survives: re-freezing would only
+            # rebuild an equal graph.
+            report = PruningReport(
+                vertices_before, vertices_before, edges_before, edges_before
+            )
+            return graph, report
+
+        surviving_vertices = [v for v in graph.vertices() if v.service_id in keep]
+        surviving_edges = list(best_edge.values())
         pruned = AdaptationGraph(
             surviving_vertices,
             surviving_edges,

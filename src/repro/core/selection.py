@@ -40,11 +40,13 @@ from repro.core.optimizer import (
     OptimizationConstraints,
     OptimizedChoice,
     OptimizeMemo,
+    caps_key,
 )
 from repro.core.parameters import FRAME_RATE, ParameterSet
 from repro.core.satisfaction import CombinedSatisfaction
 from repro.core.trace import SelectionRound, SelectionTrace
 from repro.errors import NoPathError
+from repro.formats.format import MediaFormat
 from repro.formats.registry import FormatRegistry
 from repro.profiles.user import UserProfile
 from repro.services.chains import AdaptationChain, ChainHop
@@ -308,6 +310,10 @@ class QoSPathSelector:
         heap = LazySettleHeap()
         heap_key = self._heap_key_fn()
         use_dominance = self._use_dominance_filter
+        # The memo key's caps part per target and each format with its key
+        # part, built once per run rather than on every Optimize() call.
+        caps_keys: Dict[str, Tuple] = {}
+        formats: Dict[str, Tuple[MediaFormat, Tuple]] = {}
 
         sender_entry = _Entry(
             service_id=graph.sender_id,
@@ -361,13 +367,23 @@ class QoSPathSelector:
             delay = parent.accumulated_delay_ms + edge.delay_ms
             if delay > self._max_delay_ms:
                 return  # The user's end-to-end delay bound (Section 3).
+            caps = target_vertex.service.output_caps
+            target_caps_key = caps_keys.get(edge.target)
+            if target_caps_key is None:
+                target_caps_key = caps_keys[edge.target] = caps_key(caps)
+            fmt_entry = formats.get(edge.format_name)
+            if fmt_entry is None:
+                fmt = self._registry.get(edge.format_name)
+                fmt_entry = formats[edge.format_name] = (fmt, fmt.cache_key())
+            fmt, fmt_key = fmt_entry
             choice = optimizer.optimize(
                 OptimizationConstraints(
                     upstream=upstream,
-                    caps=target_vertex.service.output_caps,
-                    fmt=self._registry.get(edge.format_name),
+                    caps=caps,
+                    fmt=fmt,
                     bandwidth_bps=edge.bandwidth_bps,
-                )
+                ),
+                (target_caps_key, fmt_key),
             )
             if choice is None:
                 return  # Equation 2 cannot be met on this edge at all.

@@ -23,9 +23,17 @@ bumps a generation counter, and a bandwidth reservation rewrites the
 residual a view carries, so either changes every subsequent fingerprint —
 a plan computed before a reservation can never be served stale.
 
-The digest is a SHA-256 over the canonical ``repr`` of the combined key
-tuple (all primitives, so the repr is deterministic), keeping the cache key
-small and cheap to hash regardless of profile size.
+The digest is hierarchical.  Each infrastructure component — catalog,
+topology (the view's, if it carries one) and placement — is digested once
+per (object, generation): a SHA-256 over the canonical ``repr`` of its
+content key.  The request digest is then a SHA-256 over the request's own
+parts (profile keys, endpoints, knobs), the three 64-hex component
+digests, the generation stamp and the sorted excluded ids.  Equal
+component content gives equal component digests, so the fingerprint
+separates exactly the requests the full combined key would, while a
+steady-state request costs O(profile size), not O(catalog + topology).
+A residual topology is re-digested once per ledger generation, and a
+release that restores its content restores its digest.
 """
 
 from __future__ import annotations
@@ -80,29 +88,36 @@ class PlanFingerprint:
         return self.digest[:12]
 
 
-# Content keys of the shared infrastructure are memoized per (object,
-# generation): under a batch of N requests against one unchanged world the
-# expensive tuple construction runs once, not N times.  Generation bumps
+def _digest(key: Tuple) -> str:
+    """SHA-256 over the canonical ``repr`` of an all-primitive key."""
+    return hashlib.sha256(repr(key).encode("utf-8")).hexdigest()
+
+
+# Digests of the shared infrastructure's content keys are memoized per
+# (object, generation): under a batch of N requests against one unchanged
+# world the tuple construction and hashing run once, not N times, and each
+# request hashes a 64-hex digest in their place.  Generation bumps
 # naturally invalidate the memo; WeakKeyDictionary keeps dead worlds from
 # pinning memory.
-_KEY_MEMO: "weakref.WeakKeyDictionary[object, Tuple[int, Tuple]]" = (
+_KEY_MEMO: "weakref.WeakKeyDictionary[object, Tuple[int, str]]" = (
     weakref.WeakKeyDictionary()
 )
 _KEY_MEMO_LOCK = threading.Lock()
 
 
-def _memoized_key(obj, generation: int, build: Callable[[], Tuple]) -> Tuple:
+def _memoized_key(obj, generation: int, build: Callable[[], Tuple]) -> str:
+    """The digest of ``build()``, built once per (``obj``, ``generation``)."""
     with _KEY_MEMO_LOCK:
         entry = _KEY_MEMO.get(obj)
         if entry is not None and entry[0] == generation:
             return entry[1]
-    key = build()
+    digest = _digest(build())
     with _KEY_MEMO_LOCK:
-        _KEY_MEMO[obj] = (generation, key)
-    return key
+        _KEY_MEMO[obj] = (generation, digest)
+    return digest
 
 
-def _catalog_key(catalog: ServiceCatalog) -> Tuple:
+def _catalog_key(catalog: ServiceCatalog) -> str:
     return _memoized_key(
         catalog,
         catalog.generation,
@@ -112,7 +127,7 @@ def _catalog_key(catalog: ServiceCatalog) -> Tuple:
     )
 
 
-def _topology_key(topology: NetworkTopology) -> Tuple:
+def _topology_key(topology: NetworkTopology) -> str:
     def build() -> Tuple:
         nodes = tuple(
             (node.node_id, node.cpu_mips, node.memory_mb)
@@ -127,7 +142,7 @@ def _topology_key(topology: NetworkTopology) -> Tuple:
     return _memoized_key(topology, topology.generation, build)
 
 
-def _placement_key(placement: ServicePlacement) -> Tuple:
+def _placement_key(placement: ServicePlacement) -> str:
     return _memoized_key(
         placement,
         placement.generation,
@@ -154,8 +169,8 @@ def fingerprint_request(
     """Fingerprint one planning request against the current world state.
 
     A ``view`` adds its masked service ids to the key, and its topology's
-    content replaces the placement topology's (planning reads only the
-    view's), so a view over a ledger's residual keys on what the
+    content digest replaces the placement topology's (planning reads only
+    the view's), so a view over a ledger's residual keys on what the
     reservations left; the generation stamp stays that of the shared
     objects, so
     :meth:`~repro.planner.cache.PlanCache.purge_stale` treats every view's
@@ -188,8 +203,7 @@ def fingerprint_request(
     )
     if view is not None and view.excluded:
         key += (tuple(sorted(view.excluded)),)
-    digest = hashlib.sha256(repr(key).encode("utf-8")).hexdigest()
-    return PlanFingerprint(digest=digest, generations=stamp)
+    return PlanFingerprint(digest=_digest(key), generations=stamp)
 
 
 def combine_fingerprints(
@@ -207,5 +221,4 @@ def combine_fingerprints(
     :meth:`~repro.planner.cache.PlanCache.purge_stale` works on group
     entries exactly as it does on per-session ones.
     """
-    digest = hashlib.sha256(repr(parts).encode("utf-8")).hexdigest()
-    return PlanFingerprint(digest=digest, generations=stamp)
+    return PlanFingerprint(digest=_digest(parts), generations=stamp)

@@ -102,6 +102,17 @@ class ServiceDescriptor:
             )
         object.__setattr__(self, "input_formats", tuple(self.input_formats))
         object.__setattr__(self, "output_formats", tuple(self.output_formats))
+        for label, formats in (
+            ("input", self.input_formats),
+            ("output", self.output_formats),
+        ):
+            seen = set()
+            for name in formats:
+                if name in seen:
+                    raise ValidationError(
+                        f"{self.service_id}: {label} format {name!r} listed twice"
+                    )
+                seen.add(name)
         if self.cost < 0:
             raise ValidationError(f"{self.service_id}: cost must be >= 0")
         if self.cpu_factor < 0:

@@ -15,6 +15,7 @@ from repro.core.graph import (
     Vertex,
 )
 from repro.core.parameters import FRAME_RATE
+from repro.core.pruning import GraphPruner, PruningReport
 from repro.errors import GraphConstructionError, UnknownNodeError, UnknownServiceError
 from repro.formats.format import MediaFormat
 from repro.formats.variants import ContentVariant
@@ -24,6 +25,7 @@ from repro.profiles.content import ContentProfile
 from repro.profiles.device import DeviceProfile
 from repro.services.catalog import ServiceCatalog, service_sort_key
 from repro.services.descriptor import ServiceDescriptor
+from repro.workloads.synthetic import SyntheticConfig, generate_scenario
 
 
 def simple_world(
@@ -296,6 +298,38 @@ class TestGraphQueries:
         ids = graph.vertex_ids()
         assert [ids[rank[v]] for v in ids] == ids
         assert sorted(ids, key=rank.__getitem__) == ids
+
+    def test_edges_ignore_vertex_insertion_order(self):
+        # The builder passes the endpoints first; a re-frozen graph passes
+        # vertices in natural order.  Both list their edges alike.
+        graph = simple_world()
+        refrozen = AdaptationGraph(
+            graph.vertices(),
+            list(reversed(graph.edges())),
+            graph.sender_id,
+            graph.receiver_id,
+        )
+        assert refrozen.edges() == graph.edges()
+        sources = [edge.source for edge in graph.edges()]
+        assert sources == sorted(sources, key=service_sort_key)
+
+    def test_prune_returns_a_graph_with_nothing_to_remove_as_is(self):
+        scenario = generate_scenario(
+            SyntheticConfig(seed=1, n_services=12, n_formats=6, n_nodes=6)
+        )
+        graph = scenario.build_graph()
+        refrozen = AdaptationGraph(
+            graph.vertices(), graph.edges(), graph.sender_id, graph.receiver_id
+        )
+        pruned, report = GraphPruner().prune(graph)
+        assert pruned is graph
+        vertices, edges = len(graph), graph.edge_count()
+        assert report == PruningReport(vertices, vertices, edges, edges)
+        assert pruned.vertex_ids() == refrozen.vertex_ids()
+        assert pruned.edges() == refrozen.edges()
+        for service_id in pruned.vertex_ids():
+            assert pruned.out_edges(service_id) == refrozen.out_edges(service_id)
+            assert pruned.in_edges(service_id) == refrozen.in_edges(service_id)
 
 
 class TestPathEnumeration:

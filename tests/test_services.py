@@ -68,6 +68,16 @@ class TestServiceDescriptor:
         with pytest.raises(ValidationError):
             transcoder_descriptor(output_caps={FRAME_RATE: -5.0})
 
+    def test_format_listed_twice_rejected(self):
+        with pytest.raises(ValidationError, match=r"T7: input format 'F1' listed twice"):
+            transcoder_descriptor("T7", inputs=("F1", "F2", "F1"), outputs=("F3",))
+        with pytest.raises(ValidationError, match=r"T7: output format 'F3' listed twice"):
+            transcoder_descriptor("T7", inputs=("F1",), outputs=("F3", "F3"))
+        with pytest.raises(ValidationError, match="listed twice"):
+            sender_descriptor("s", ("F1", "F1"))
+        with pytest.raises(ValidationError, match="listed twice"):
+            receiver_descriptor("r", ("F1", "F1"), {})
+
     def test_accepts_and_produces(self):
         descriptor = transcoder_descriptor(inputs=("F1", "F2"), outputs=("F3",))
         assert descriptor.accepts("F2")
