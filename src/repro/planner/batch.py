@@ -7,7 +7,9 @@ pairs the two:
 
 - :meth:`BatchPlanner.plan` fingerprints one request against the current
   infrastructure generations and serves it from the cache (single-flight
-  on misses);
+  on misses).  It is :meth:`BatchPlanner.probe` (policy pass, fingerprint,
+  cache probe: an answer or the selector work left) followed by that
+  work, so a caller can run the two steps on different threads;
 - :meth:`BatchPlanner.plan_batch` fans a whole arrival batch out over a
   :class:`~concurrent.futures.ThreadPoolExecutor`, preserving input order
   in the returned plans.
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.graph import CatalogView
 from repro.core.optimizer import OptimizeMemo
@@ -51,7 +53,12 @@ from repro.services.catalog import ServiceCatalog
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.workloads.scenario import Scenario
 
-__all__ = ["PlanRequest", "BatchPlanner"]
+__all__ = ["PlanAnswer", "PlanRequest", "BatchPlanner"]
+
+#: One planning answer: ``(plan, cache_hit, decision)``.
+PlanAnswer = Tuple[
+    Union[SessionPlan, PolicyPlan], bool, Optional[PolicyDecision]
+]
 
 
 @dataclass(frozen=True)
@@ -223,44 +230,58 @@ class BatchPlanner:
 
     def plan_with_policy_info(
         self, request: PlanRequest, view: Optional[CatalogView] = None
-    ) -> Tuple[Union[SessionPlan, PolicyPlan], bool, Optional[PolicyDecision]]:
+    ) -> PlanAnswer:
         """Policy-aware planning: ``(plan, cache_hit, decision)``.
 
-        The policy engine (when configured) is consulted *before* any
-        fingerprinting or cache work.  ``decision`` is ``None`` when no
-        rule fired (pure selector path).  For a ``skip`` the returned
-        plan is the engine's zero-hop :class:`PolicyPlan` and the hit
-        flag reflects the engine's decision cache; for ``force_tier``
-        the selector plans over ``view`` with every transcoder of another
-        tier masked as well.  The hit flag can only be pessimistic (a
-        concurrent leader may insert between probe and lookup).
+        :meth:`probe`, then the selector work it leaves (if any) on the
+        calling thread.
         """
-        engine = self._policy_engine
-        if engine is not None:
-            decision = engine.evaluate(request)
-            if decision.kind == "deny":
-                decision.raise_if_denied()
-            elif decision.kind == "skip":
-                return decision.plan, decision.cached, decision
-            elif decision.kind == "force_tier":
-                plan, hit = self._selector_plan(
-                    request, self._tier_view(decision.tier, view)
-                )
-                return plan, hit, decision
-        plan, hit = self._selector_plan(request, view)
-        return plan, hit, None
+        answer = self.probe(request, view)
+        return answer() if callable(answer) else answer
 
-    def _selector_plan(
-        self, request: PlanRequest, view: Optional[CatalogView]
-    ) -> Tuple[SessionPlan, bool]:
-        """The raw selector path: fingerprint, cache probe, compute."""
+    def probe(
+        self, request: PlanRequest, view: Optional[CatalogView] = None
+    ) -> Union[PlanAnswer, Callable[[], PlanAnswer]]:
+        """Everything short of the selector: an answer, or the work left.
+
+        The policy engine (when configured) is consulted *before* any
+        fingerprinting or cache work.  A ``deny`` raises
+        :class:`~repro.errors.PolicyDeniedError`; a ``skip`` answers with
+        the engine's zero-hop :class:`PolicyPlan`, its hit flag the
+        engine's decision cache.  Otherwise the request is fingerprinted
+        over ``view`` (for ``force_tier`` with every transcoder of another
+        tier masked as well) and probed in the plan cache, and a hit is
+        answered here.  A miss returns one callable that runs the cache's
+        single-flight compute and answers ``(plan, False, decision)``:
+        the serving gateway answers on its event loop and sends only that
+        callable to a planning thread.  ``decision`` is ``None`` when no
+        rule fired.  The hit flag can only be pessimistic: a concurrent
+        leader may insert between probe and compute, and an entry evicted
+        after the probe is computed (and counted) as a miss.
+        """
+        decision: Optional[PolicyDecision] = None
+        if self._policy_engine is not None:
+            evaluated = self._policy_engine.evaluate(request)
+            evaluated.raise_if_denied()
+            if evaluated.kind == "skip":
+                return evaluated.plan, evaluated.cached, evaluated
+            if evaluated.kind == "force_tier":
+                decision = evaluated
+                view = self._tier_view(evaluated.tier, view)
         fingerprint = self.fingerprint(request, view)
-        hit = fingerprint in self._cache
-        plan = self._cache.get_or_compute(
-            fingerprint,
-            lambda: self._plan_fresh(request, self._optimize_memo, view),
-        )
-        return plan, hit
+        if fingerprint in self._cache:
+            plan = self._cache.get_hit(fingerprint)
+            if plan is not None:
+                return plan, True, decision
+
+        def select() -> PlanAnswer:
+            plan = self._cache.get_or_compute(
+                fingerprint,
+                lambda: self._plan_fresh(request, self._optimize_memo, view),
+            )
+            return plan, False, decision
+
+        return select
 
     def _tier_view(self, tier: str, view: Optional[CatalogView]) -> CatalogView:
         """``view`` with every transcoder outside ``tier`` masked too."""

@@ -81,10 +81,20 @@ class PlanCache:
         """The cached plan, or ``None`` on a miss (counted either way)."""
         with self._lock:
             if fingerprint in self._entries:
-                self._entries.move_to_end(fingerprint)
-                self._hits += 1
-                return self._entries[fingerprint]
+                return self._hit(fingerprint)
             self._misses += 1
+            return None
+
+    def get_hit(self, fingerprint: PlanFingerprint) -> Optional[Any]:
+        """The cached plan counted as a hit, or ``None`` counting nothing.
+
+        For a caller that probed with ``in`` and leaves a miss to
+        :meth:`get_or_compute`: an entry evicted in between is then one
+        lookup, counted there as a miss.
+        """
+        with self._lock:
+            if fingerprint in self._entries:
+                return self._hit(fingerprint)
             return None
 
     def put(self, fingerprint: PlanFingerprint, plan: Any) -> None:
@@ -110,9 +120,7 @@ class PlanCache:
         while True:
             with self._lock:
                 if fingerprint in self._entries:
-                    self._entries.move_to_end(fingerprint)
-                    self._hits += 1
-                    return self._entries[fingerprint]
+                    return self._hit(fingerprint)
                 event = self._inflight.get(fingerprint)
                 if event is None:
                     event = threading.Event()
@@ -189,6 +197,12 @@ class PlanCache:
     def __contains__(self, fingerprint: object) -> bool:
         with self._lock:
             return fingerprint in self._entries
+
+    def _hit(self, fingerprint: PlanFingerprint) -> Any:
+        # Caller holds the lock and has seen ``fingerprint`` in the map.
+        self._entries.move_to_end(fingerprint)
+        self._hits += 1
+        return self._entries[fingerprint]
 
     def _evict_overflow(self) -> None:
         # Caller holds the lock.

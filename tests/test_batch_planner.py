@@ -3,11 +3,24 @@
 from __future__ import annotations
 
 import io
+import random
+import threading
+
+import pytest
 
 from repro.cli import main
+from repro.core.graph import CatalogView
+from repro.errors import PolicyDeniedError
 from repro.planner import BatchPlanner, PlanCache, synthetic_requests
+from repro.planner.batch import PlanRequest
+from repro.planner.workload import device_variants
+from repro.policy import Decodes, DeviceIn, PolicyDocument, PolicyEngine, PolicyRule
+from repro.profiles.device import DeviceProfile
 from repro.runtime.metrics import PlannerReport
+from repro.runtime.session import AdaptationSession
 from repro.workloads.synthetic import SyntheticConfig, generate_scenario
+
+from tests.reference_planning import reference_plan_with_policy_info
 
 
 def _scenario(seed=7):
@@ -125,6 +138,170 @@ def test_memoized_batch_equals_uncached_batch():
     uncached = planner.plan_batch(requests, use_cache=False)
     for a, b in zip(cached, uncached):
         assert a.result == b.result
+
+
+# ----------------------------------------------------------------------
+# Probe, then finish
+# ----------------------------------------------------------------------
+
+
+def _policy_world():
+    """A tiered scenario whose policy denies, forces a tier and skips."""
+    scenario = generate_scenario(
+        SyntheticConfig(seed=7, n_services=12, n_formats=8, n_nodes=8,
+                        hw_tier_fraction=0.5)
+    )
+    source = scenario.content.format_names()[0]
+    pinned = f"{scenario.device.device_id}-v0"
+    scenario.policy = PolicyDocument(
+        name="split",
+        rules=(
+            PolicyRule(rule_id="banned", action="deny",
+                       predicates=(DeviceIn(("banned",)),)),
+            PolicyRule(rule_id="pinned", action="force_tier", tier="hw",
+                       predicates=(DeviceIn((pinned,)),)),
+            PolicyRule(rule_id="native", action="skip",
+                       predicates=(Decodes(source),), tolerance=0.05),
+        ),
+    )
+    devices = []
+    for variant in device_variants(scenario.device, 6):
+        devices.append(variant)
+        devices.append(DeviceProfile(
+            device_id=f"{variant.device_id}-compat",
+            decoders=[source] + list(variant.decoders),
+            max_resolution=variant.max_resolution,
+            max_color_depth=variant.max_color_depth,
+            max_frame_rate=variant.max_frame_rate,
+        ))
+    devices.append(DeviceProfile(
+        device_id="banned", decoders=list(scenario.device.decoders)
+    ))
+    return scenario, devices
+
+
+def _policy_planner(scenario, cache_size=4):
+    # A small cache so the stream evicts and misses again.
+    return BatchPlanner.for_scenario(
+        scenario,
+        cache=PlanCache(max_entries=cache_size),
+        policy_engine=PolicyEngine(scenario.policy),
+        max_workers=1,
+    )
+
+
+def _request(scenario, device):
+    return PlanRequest(
+        content=scenario.content, device=device, user=scenario.user,
+        sender_node=scenario.sender_node, receiver_node=scenario.receiver_node,
+    )
+
+
+def _answer_or_denial(plan_call, planner, request, view):
+    try:
+        plan, hit, decision = plan_call(planner, request, view)
+    except PolicyDeniedError as exc:
+        return "denied", exc.rule_id
+    return plan.result, plan.result.stats, hit, decision
+
+
+def test_probe_then_finish_matches_one_step_planning():
+    # Skip, deny, force_tier, hit and miss over plain and masked views:
+    # the split answers, and counts, exactly as one-step planning did.
+    scenario, devices = _policy_world()
+    first_transcoder = scenario.catalog.transcoders()[0].service_id
+    masked = CatalogView(excluded=frozenset({first_transcoder}))
+    rng = random.Random(11)
+    stream = [
+        (
+            _request(scenario, rng.choice(devices)),
+            masked if rng.random() < 0.25 else None,
+        )
+        for _ in range(120)
+    ]
+    split = _policy_planner(scenario)
+    one_step = _policy_planner(scenario)
+    answers = []
+    for request, view in stream:
+        expected = _answer_or_denial(
+            reference_plan_with_policy_info, one_step, request, view
+        )
+        got = _answer_or_denial(
+            BatchPlanner.plan_with_policy_info, split, request, view
+        )
+        assert got == expected
+        answers.append(got)
+    assert split.cache.stats == one_step.cache.stats
+    assert split.policy_engine.stats() == one_step.policy_engine.stats()
+
+    def path(answer):
+        if answer[0] == "denied":
+            return "deny"
+        _result, _stats, hit, decision = answer
+        if decision is not None:
+            return decision.kind
+        return "hit" if hit else "miss"
+
+    paths = {path(answer) for answer in answers}
+    assert paths == {"deny", "skip", "force_tier", "hit", "miss"}
+    assert split.cache.stats.evictions > 0
+
+
+def test_probe_answers_hits_and_leaves_misses_to_the_caller():
+    scenario, devices = _policy_world()
+    planner = _policy_planner(scenario)
+    request = _request(scenario, devices[2])
+    select = planner.probe(request)
+    assert callable(select)
+    assert planner.cache.stats.lookups == 0  # nothing counted until it runs
+    plan, hit, decision = select()
+    assert (hit, decision) == (False, None)
+    assert planner.probe(request) == (plan, True, None)
+    assert (planner.cache.stats.hits, planner.cache.stats.misses) == (1, 1)
+    with pytest.raises(PolicyDeniedError):
+        planner.probe(_request(scenario, devices[-1]))
+
+
+class _EvictAfterProbe(PlanCache):
+    """Evicts everything right after a probe finds an entry."""
+
+    def __contains__(self, fingerprint):
+        found = super().__contains__(fingerprint)
+        if found:
+            self.clear()
+        return found
+
+
+def test_entry_evicted_after_the_probe_computes_on_the_calling_thread(
+    monkeypatch,
+):
+    scenario, devices = _policy_world()
+    planner = BatchPlanner.for_scenario(
+        scenario, cache=_EvictAfterProbe(),
+        policy_engine=PolicyEngine(scenario.policy), max_workers=1,
+    )
+    request = _request(scenario, devices[2])
+    first, _hit, _decision = planner.plan_with_policy_info(request)
+    computed_on = []
+    session_plan = AdaptationSession.plan
+
+    def recording_plan(self, *args, **kwargs):
+        computed_on.append(threading.get_ident())
+        return session_plan(self, *args, **kwargs)
+
+    monkeypatch.setattr(AdaptationSession, "plan", recording_plan)
+    select = planner.probe(request)  # sees the entry, then loses it
+    assert callable(select)
+    assert computed_on == []  # not computed inline in the probe
+    answers = []
+    thread = threading.Thread(target=lambda: answers.append(select()))
+    thread.start()
+    thread.join()
+    assert computed_on == [thread.ident]
+    plan, hit, decision = answers[0]
+    assert (plan.result, hit, decision) == (first.result, False, None)
+    stats = planner.cache.stats
+    assert (stats.hits, stats.misses) == (0, 2)  # one miss per lookup
 
 
 # ----------------------------------------------------------------------

@@ -35,6 +35,22 @@ def test_get_counts_hits_and_misses():
     assert stats.hit_rate == 0.5
 
 
+def test_get_hit_counts_only_hits():
+    # A probe that saw the entry reads it with get_hit; an entry gone by
+    # then is left to get_or_compute, so the lookup is counted once.
+    cache = PlanCache(max_entries=2)
+    assert cache.get_hit(_fp("a")) is None
+    assert cache.stats.lookups == 0
+    cache.put(_fp("a"), 1)
+    cache.put(_fp("b"), 2)
+    assert cache.get_hit(_fp("a")) == 1  # refresh "a": now "b" is LRU
+    cache.put(_fp("c"), 3)
+    assert _fp("b") not in cache and _fp("a") in cache
+    assert cache.get_or_compute(_fp("b"), lambda: 2) == 2
+    stats = cache.stats
+    assert (stats.hits, stats.misses) == (1, 1)
+
+
 def test_lru_evicts_least_recently_used():
     cache = PlanCache(max_entries=2)
     cache.put(_fp("a"), 1)
