@@ -13,7 +13,9 @@ the two claims the cluster makes over the single-process gateway of E19:
 - **affinity determinism**: with ``--shard-affinity`` routing every
   device class to its ring owner, two same-seed campaigns against two
   freshly booted clusters reproduce the per-request outcome digest
-  bit-for-bit and land the identical per-worker request distribution.
+  bit-for-bit and land the identical per-worker request distribution;
+  the digest is written alone to ``cluster_digest.txt`` (CI diffs it at
+  its size).
 
 ``CLUSTER_BENCH_REQUESTS`` scales the campaign down for CI smoke runs;
 the default exercises the full 1200-request campaign at 400 req/s.
@@ -227,4 +229,10 @@ def test_cluster_scaling_and_affinity_determinism(benchmark, save_artifact):
         f"E20 — {WORKERS}-worker cluster vs single process "
         f"(deadline {DEADLINE_MS:.0f} ms, seed {SEED})\n\n"
         + format_table(["metric", "value"], rows),
+    )
+    save_artifact(
+        "cluster_digest.txt",
+        f"E20 — same-seed affinity outcome digest ({affinity_load.requests} "
+        f"requests, {WORKERS} workers, seed {SEED + 1})\n"
+        f"{first.outcome_digest()}",
     )

@@ -7,7 +7,8 @@ SLOs from two regimes:
 - **sustained**: at the target arrival rate every request is served with
   p99 end-to-end latency under the request deadline — no sheds, no
   timeouts, no failures — and a same-seed rerun against a fresh daemon
-  reproduces the per-request outcome digest bit-for-bit;
+  reproduces the per-request outcome digest bit-for-bit, which is
+  written alone to ``gateway_digest.txt`` (CI diffs it at its size);
 - **overload**: at 2x the gateway's configured capacity (pinned by the
   ``service_floor_ms`` knob so the saturation point is machine-
   independent) the bounded deadline queue sheds explicitly with 429s
@@ -141,4 +142,9 @@ def test_gateway_sustained_and_overload(benchmark, save_artifact):
         "gateway.txt",
         f"E19 — planning gateway under load (deadline {DEADLINE_MS:.0f} ms, "
         f"seed {SEED})\n\n" + format_table(["metric", "value"], rows),
+    )
+    save_artifact(
+        "gateway_digest.txt",
+        f"E19 — same-seed sustained outcome digest ({REQUESTS} requests "
+        f"at {RATE_PER_S:.0f} req/s, seed {SEED})\n{report.outcome_digest()}",
     )

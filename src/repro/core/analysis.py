@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.graph import AdaptationGraph, Edge
-from repro.services.catalog import service_sort_key
 
 __all__ = ["DegreeStats", "GraphAnalysis"]
 
@@ -47,25 +46,6 @@ class GraphAnalysis:
         return dict(
             sorted(counts.items(), key=lambda item: (-item[1], item[0]))
         )
-
-    def reachable_formats(self) -> List[str]:
-        """Formats that can appear on some sender-originating edge chain.
-
-        Flood outward from the sender, collecting edge formats; a format
-        never collected cannot occur in any delivery.
-        """
-        graph = self._graph
-        seen_vertices = {graph.sender_id}
-        seen_formats: set = set()
-        frontier = [graph.sender_id]
-        while frontier:
-            current = frontier.pop()
-            for edge in graph.out_edges(current):
-                seen_formats.add(edge.format_name)
-                if edge.target not in seen_vertices:
-                    seen_vertices.add(edge.target)
-                    frontier.append(edge.target)
-        return sorted(seen_formats)
 
     # ------------------------------------------------------------------
     # Services
@@ -123,18 +103,6 @@ class GraphAnalysis:
             if best is None or bottleneck > best[1]:
                 best = (path, bottleneck)
         return best
-
-    def bottleneck_edges(self, top: int = 5) -> List[Edge]:
-        """The lowest-bandwidth edges that sit on some usable chain."""
-        graph = self._graph
-        alive = graph.reachable_from_sender() & graph.co_reachable_to_receiver()
-        usable = [
-            edge
-            for edge in graph.edges()
-            if edge.source in alive and edge.target in alive
-        ]
-        usable.sort(key=lambda e: (e.bandwidth_bps, service_sort_key(e.source)))
-        return usable[:top]
 
     # ------------------------------------------------------------------
     # Rendering

@@ -117,10 +117,6 @@ class ServiceAgent:
         self._directory.registry.deregister(service_id)
         self._registered.remove(service_id)
 
-    @property
-    def registered_ids(self) -> List[str]:
-        return list(self._registered)
-
 
 class UserAgent:
     """Issues service requests on behalf of a client."""

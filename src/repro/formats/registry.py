@@ -91,10 +91,6 @@ class FormatRegistry:
         """All registered format names, in registration order."""
         return list(self._formats)
 
-    def by_media_type(self, media_type: MediaType) -> List[MediaFormat]:
-        """All formats of the given media type, in registration order."""
-        return [f for f in self._formats.values() if f.media_type is media_type]
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"FormatRegistry({sorted(self._formats)})"
 

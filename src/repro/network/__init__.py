@@ -12,7 +12,7 @@ discrete-event-free topology simulator:
 - :class:`~repro.network.bandwidth.BandwidthEstimator` and fluctuation
   models — time-varying available bandwidth for the extension experiments;
 - :class:`~repro.network.placement.ServicePlacement` — the service→node
-  mapping with resource-feasibility checks.
+  mapping.
 """
 
 from repro.network.topology import Link, NetworkNode, NetworkTopology

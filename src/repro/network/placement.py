@@ -4,16 +4,16 @@ The intermediary profile (Section 3) couples services to the hosts that run
 them; Section 4.3 makes the host assignment matter to the algorithm, since
 the bandwidth between two services is the bandwidth between their hosts
 (and unlimited when they share a host).  :class:`ServicePlacement` is that
-mapping, with resource-feasibility checks against node capacities.
+mapping; the graph builder checks each host's capacity when it admits a
+service as a vertex.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional
 
 from repro.errors import PlacementError, UnknownServiceError
 from repro.network.topology import NetworkTopology
-from repro.services.descriptor import ServiceDescriptor
 
 __all__ = ["ENDPOINT_IDS", "ServicePlacement"]
 
@@ -93,20 +93,6 @@ class ServicePlacement:
     def is_placed(self, service_id: str) -> bool:
         return service_id in self._node_of
 
-    def services_at(self, node_id: str) -> List[str]:
-        """All service ids hosted on ``node_id``."""
-        return [s for s, n in self._node_of.items() if n == node_id]
-
-    def co_located(self, service_a: str, service_b: str) -> bool:
-        """Whether two services share a host (unlimited bandwidth)."""
-        return self.node_of(service_a) == self.node_of(service_b)
-
-    def bandwidth_between(self, service_a: str, service_b: str) -> float:
-        """``Bandwidth_AvailableBetween`` lifted to the service level."""
-        return self._topology.available_bandwidth(
-            self.node_of(service_a), self.node_of(service_b)
-        )
-
     def __len__(self) -> int:
         return len(self._node_of)
 
@@ -115,46 +101,6 @@ class ServicePlacement:
 
     def as_dict(self) -> Dict[str, str]:
         return dict(self._node_of)
-
-    # ------------------------------------------------------------------
-    # Feasibility
-    # ------------------------------------------------------------------
-    def validate_resources(
-        self,
-        descriptors: Iterable[ServiceDescriptor],
-        reference_input_bps: float = 1e6,
-    ) -> List[str]:
-        """Check every node can run the services placed on it.
-
-        Memory is additive; CPU demand is evaluated at a reference input
-        rate (placement happens before configurations are chosen).  Returns
-        a list of human-readable violations — empty means feasible.
-        """
-        by_id = {d.service_id: d for d in descriptors}
-        violations: List[str] = []
-        usage: Dict[str, Tuple[float, float]] = {}
-        for service_id, node_id in self._node_of.items():
-            descriptor = by_id.get(service_id)
-            if descriptor is None:
-                continue  # Pseudo-services (sender/receiver) have no demand.
-            cpu, mem = usage.get(node_id, (0.0, 0.0))
-            usage[node_id] = (
-                cpu + descriptor.cpu_required(reference_input_bps),
-                mem + descriptor.memory_mb,
-            )
-        for node_id, (cpu, mem) in usage.items():
-            node = self._topology.get_node(node_id)
-            if cpu > node.cpu_mips:
-                violations.append(
-                    f"node {node_id}: CPU demand {cpu:.1f} MIPS exceeds "
-                    f"capacity {node.cpu_mips:.1f}"
-                )
-            if mem > node.memory_mb:
-                violations.append(
-                    f"node {node_id}: memory demand {mem:.1f} MB exceeds "
-                    f"capacity {node.memory_mb:.1f}"
-                )
-        return violations
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ServicePlacement({self._node_of})"

@@ -114,6 +114,28 @@ class BandwidthLedger:
         link = self._topology.get_link(a, b)
         return max(0.0, link.bandwidth_bps - self.reserved_on(a, b))
 
+    def supply_fraction(self, route: Sequence[str]) -> float:
+        """How much of its reserved bandwidth a stream on ``route`` gets.
+
+        Reservations were validated against nominal capacity; when
+        :meth:`set_capacity` squeezes a link below its total reserved
+        load, every stream on it degrades proportionally (fair share).
+        Returns a value in [0, 1]; 0 means the route is dead.
+        """
+        fraction = 1.0
+        with self._lock:
+            for a, b in zip(route, route[1:]):
+                key = link_key(a, b)
+                capacity = self._capacity.get(key)
+                if capacity is None:
+                    capacity = self._topology.get_link(a, b).bandwidth_bps
+                if capacity <= 0.0:
+                    return 0.0
+                reserved = self._reserved.get(key, 0.0)
+                if reserved > capacity:
+                    fraction = min(fraction, capacity / reserved)
+        return fraction
+
     def active_reservations(self) -> List[Reservation]:
         with self._lock:
             return list(self._active.values())

@@ -33,7 +33,6 @@ from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple, Uni
 from repro.core.graph import CatalogView
 from repro.core.optimizer import OptimizeMemo
 from repro.core.parameters import ParameterSet
-from repro.core.selection import TieBreakPolicy
 from repro.formats.registry import FormatRegistry
 from repro.network.placement import ServicePlacement
 from repro.planner.cache import PlanCache
@@ -85,9 +84,6 @@ class BatchPlanner:
         placement: ServicePlacement,
         cache: Optional[PlanCache] = None,
         max_workers: Optional[int] = None,
-        tie_break: TieBreakPolicy = TieBreakPolicy.PAPER,
-        prune: bool = True,
-        record_trace: bool = False,
         optimize_memo: Optional[OptimizeMemo] = None,
         policy_engine: Optional[PolicyEngine] = None,
     ) -> None:
@@ -97,14 +93,6 @@ class BatchPlanner:
         self._placement = placement
         self._cache = cache if cache is not None else PlanCache()
         self._max_workers = max_workers
-        self._tie_break = tie_break
-        self._prune = prune
-        # Traces default *off* for batch planning: cached and batch plans
-        # drop them anyway, and a full SelectionTrace per plan is the
-        # single largest allocation on the hot path.  Opt back in with
-        # ``record_trace=True``; plan equality is unaffected (the trace is
-        # observability only — pinned by tests/test_batch_planner.py).
-        self._record_trace = record_trace
         # One optimize() memo shared by every planned session: distinct
         # sessions over the same infrastructure repeat the same
         # (upstream, caps, format) relaxations, so solved ceilings and
@@ -176,9 +164,6 @@ class BatchPlanner:
             view=view,
             context=request.context,
             peer=request.peer,
-            tie_break=self._tie_break,
-            prune=self._prune,
-            record_trace=self._record_trace,
         )
 
     def plan_uncached(self, request: PlanRequest) -> SessionPlan:
@@ -207,9 +192,10 @@ class BatchPlanner:
             sender_node=request.sender_node,
             receiver_node=request.receiver_node,
             context=request.context,
-            tie_break=self._tie_break,
-            prune=self._prune,
-            record_trace=self._record_trace,
+            # Batch plans carry no trace: a full SelectionTrace per plan is
+            # the single largest allocation on the hot path, and the trace
+            # is observability only (it never changes the plan).
+            record_trace=False,
             optimize_memo=optimize_memo,
             view=view,
         )

@@ -5,8 +5,7 @@ construction → pruning → selection) consumes for one session:
 
 - the four request-side profiles (user, content, device, and optionally
   context) via their ``cache_key()`` tuples;
-- the endpoints (sender / receiver node) and planner knobs (peer,
-  tie-break policy, pruning, trace recording);
+- the endpoints (sender / receiver node) and the peer;
 - the *shared infrastructure state* via content keys plus monotonic
   generation counters of the service catalog, the topology and the
   placement;
@@ -27,7 +26,7 @@ The digest is hierarchical.  Each infrastructure component — catalog,
 topology (the view's, if it carries one) and placement — is digested once
 per (object, generation): a SHA-256 over the canonical ``repr`` of its
 content key.  The request digest is then a SHA-256 over the request's own
-parts (profile keys, endpoints, knobs), the three 64-hex component
+parts (profile keys, endpoints, peer), the three 64-hex component
 digests, the generation stamp and the sorted excluded ids.  Equal
 component content gives equal component digests, so the fingerprint
 separates exactly the requests the full combined key would, while a
@@ -45,7 +44,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 from repro.core.graph import CatalogView
-from repro.core.selection import TieBreakPolicy
 from repro.network.placement import ServicePlacement
 from repro.network.topology import NetworkTopology
 from repro.profiles.content import ContentProfile
@@ -162,9 +160,6 @@ def fingerprint_request(
     view: Optional[CatalogView] = None,
     context: Optional[ContextProfile] = None,
     peer: Optional[str] = None,
-    tie_break: TieBreakPolicy = TieBreakPolicy.PAPER,
-    prune: bool = True,
-    record_trace: bool = False,
 ) -> PlanFingerprint:
     """Fingerprint one planning request against the current world state.
 
@@ -189,9 +184,6 @@ def fingerprint_request(
         sender_node,
         receiver_node,
         peer,
-        tie_break.value,
-        prune,
-        record_trace,
         _catalog_key(catalog),
         _topology_key(
             view.topology

@@ -28,7 +28,6 @@ from repro.core.pruning import GraphPruner, PruningReport
 from repro.core.selection import (
     QoSPathSelector,
     SelectionResult,
-    TieBreakPolicy,
     build_chain,
 )
 from repro.errors import NoPathError
@@ -80,7 +79,6 @@ class AdaptationSession:
         sender_node: str,
         receiver_node: str,
         context: Optional[ContextProfile] = None,
-        tie_break: TieBreakPolicy = TieBreakPolicy.PAPER,
         prune: bool = True,
         record_trace: bool = True,
         optimize_memo=None,
@@ -96,7 +94,6 @@ class AdaptationSession:
         self._context = context
         self._sender_node = sender_node
         self._receiver_node = receiver_node
-        self._tie_break = tie_break
         self._prune = prune
         self._record_trace = record_trace
         #: Optional shared :class:`~repro.core.optimizer.OptimizeMemo`;
@@ -140,7 +137,6 @@ class AdaptationSession:
             parameters=self._parameters,
             user=self._user,
             peer=peer,
-            tie_break=self._tie_break,
             record_trace=self._record_trace,
             optimize_memo=self._optimize_memo,
         )
@@ -179,12 +175,3 @@ class AdaptationSession:
             duration_s=duration_s,
             events=events,
         )
-
-    def plan_and_deliver(
-        self,
-        duration_s: float = 30.0,
-        fluctuation: Optional[FluctuationModel] = None,
-        seed: int = 0,
-    ) -> DeliveryReport:
-        """Convenience: plan, then deliver, in one call."""
-        return self.deliver(self.plan(), duration_s, fluctuation, seed)

@@ -176,7 +176,7 @@ def _new_state(
     policy_engine: Optional[PolicyEngine] = None,
 ) -> _GatewayState:
     planner = BatchPlanner.for_scenario(
-        scenario, cache=cache, record_trace=False, policy_engine=policy_engine
+        scenario, cache=cache, policy_engine=policy_engine
     )
     return _GatewayState(
         scenario=scenario,

@@ -9,7 +9,7 @@ the format-based queries the builder and the discovery layer need.
 from __future__ import annotations
 
 import re
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Tuple
 
 from repro.errors import UnknownServiceError, ValidationError
 from repro.services.descriptor import ServiceDescriptor, ServiceKind
@@ -116,24 +116,6 @@ class ServiceCatalog:
     def transcoders(self) -> List[ServiceDescriptor]:
         """All regular (non-sender, non-receiver) services."""
         return [s for s in self if s.kind is ServiceKind.TRANSCODER]
-
-    def successors_of(self, descriptor: ServiceDescriptor) -> List[ServiceDescriptor]:
-        """Services that can directly follow ``descriptor`` (format match)."""
-        return [s for s in self if s is not descriptor and s.can_follow(descriptor)]
-
-    def find_sender(self) -> Optional[ServiceDescriptor]:
-        """The sender pseudo-service, if the catalog holds one."""
-        for descriptor in self:
-            if descriptor.is_sender:
-                return descriptor
-        return None
-
-    def find_receiver(self) -> Optional[ServiceDescriptor]:
-        """The receiver pseudo-service, if the catalog holds one."""
-        for descriptor in self:
-            if descriptor.is_receiver:
-                return descriptor
-        return None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ServiceCatalog({self.ids()})"

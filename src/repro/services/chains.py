@@ -113,10 +113,6 @@ class AdaptationChain:
         """The edge formats along the chain, in traversal order."""
         return [hop.via_format for hop in self._hops[1:] if hop.via_format is not None]
 
-    def transcoder_hops(self) -> List[ChainHop]:
-        """The hops that perform actual transcoding (neither endpoint)."""
-        return [h for h in self._hops if h.service.kind is ServiceKind.TRANSCODER]
-
     def total_cost(self) -> float:
         """Sum of the per-use costs of every service on the chain."""
         return sum(hop.service.cost for hop in self._hops)

@@ -213,8 +213,9 @@ class SimSession:
         if any(self._world.service_is_down(sid) for sid in self._services):
             return 0.0
         fraction = 1.0
+        ledger = self._world.ledger
         for lease in self._leases:
-            fraction = min(fraction, self._world.supply_fraction(lease.route))
+            fraction = min(fraction, ledger.supply_fraction(lease.route))
             if fraction <= 0.0:
                 return 0.0
         return fraction

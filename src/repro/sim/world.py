@@ -105,7 +105,6 @@ class SimWorld:
             scenario,
             cache=PlanCache(max_entries=plan_cache_size),
             max_workers=1,
-            record_trace=False,
             optimize_memo=self._memo,
             policy_engine=self._policy_engine,
         )
@@ -138,9 +137,6 @@ class SimWorld:
             self._factors[key] = factor
         self.ledger.set_capacity(a, b, self.effective_capacity(link))
         self._generation += 1
-
-    def link_factor(self, a: str, b: str) -> float:
-        return self._factors.get(link_key(a, b), 1.0)
 
     def fail_node(self, node_id: str) -> None:
         self.scenario.topology.get_node(node_id)
@@ -236,34 +232,22 @@ class SimWorld:
         return failed
 
     # ------------------------------------------------------------------
-    # Effective capacity queries
+    # Effective capacity
     # ------------------------------------------------------------------
     def effective_capacity(self, link: Link) -> float:
-        """Nominal capacity through the fault overlay (0 on downed ends)."""
+        """Nominal capacity through the fault overlay (0 on downed ends).
+
+        Every overlay change pushes this into the ledger
+        (:meth:`~repro.network.reservations.BandwidthLedger.set_capacity`),
+        so the ledger holds each link's current capacity and answers the
+        fair-share query
+        (:meth:`~repro.network.reservations.BandwidthLedger.supply_fraction`).
+        """
         if link.a in self._down_nodes or link.b in self._down_nodes:
             return 0.0
         return link.bandwidth_bps * self._factors.get(
             link_key(link.a, link.b), 1.0
         )
-
-    def supply_fraction(self, route: Tuple[str, ...]) -> float:
-        """How much of its reserved bandwidth a stream on ``route`` gets.
-
-        Reservations were validated against nominal capacity; when a fault
-        squeezes a link below its total reserved load, every stream on it
-        degrades proportionally (fair share).  Returns a value in [0, 1];
-        0 means the route is dead.
-        """
-        fraction = 1.0
-        for a, b in zip(route, route[1:]):
-            link = self.scenario.topology.get_link(a, b)
-            capacity = self.effective_capacity(link)
-            if capacity <= 0.0:
-                return 0.0
-            reserved = self.ledger.reserved_on(a, b)
-            if reserved > capacity:
-                fraction = min(fraction, capacity / reserved)
-        return fraction
 
     # ------------------------------------------------------------------
     # Planning on the live residual

@@ -89,11 +89,7 @@ class Scenario:
         """Build the graph and run the selector in one step."""
         return self.selector(**kwargs).run()
 
-    def session(
-        self,
-        tie_break: TieBreakPolicy = TieBreakPolicy.PAPER,
-        prune: bool = True,
-    ) -> AdaptationSession:
+    def session(self, prune: bool = True) -> AdaptationSession:
         """A full runtime session over this scenario."""
         return AdaptationSession(
             registry=self.registry,
@@ -106,6 +102,5 @@ class Scenario:
             sender_node=self.sender_node,
             receiver_node=self.receiver_node,
             context=self.context,
-            tie_break=tie_break,
             prune=prune,
         )

@@ -132,6 +132,19 @@ class TestBandwidthLedger:
         with pytest.raises(Exception):
             ledger.residual("a", "c")
 
+    def test_supply_fraction_is_the_fair_share_of_current_capacity(self):
+        ledger = BandwidthLedger(small_topology())
+        ledger.reserve(["a", "b", "c"], 4e6)
+        assert ledger.supply_fraction(("a", "b", "c")) == 1.0
+        assert ledger.supply_fraction(("b",)) == 1.0
+        ledger.set_capacity("b", "c", 1e6)  # squeezed below the 4e6 load
+        assert ledger.supply_fraction(("a", "b", "c")) == 1e6 / 4e6
+        assert ledger.supply_fraction(("a", "b")) == 1.0
+        ledger.set_capacity("a", "b", 0.0)
+        assert ledger.supply_fraction(("a", "b", "c")) == 0.0
+        with pytest.raises(Exception):
+            ledger.supply_fraction(("a", "c"))
+
 
 class TestAdmissionOnFigure6:
     """E16's admission on a :class:`SimWorld`: :meth:`SimWorld.admit`

@@ -24,15 +24,6 @@ class TestOnFigure6:
         counts = list(analysis.format_usage().values())
         assert counts == sorted(counts, reverse=True)
 
-    def test_reachable_formats_exclude_nothing_in_figure6(self, analysis):
-        reachable = analysis.reachable_formats()
-        assert "F0" in reachable
-        assert "F7" in reachable
-        # Dead-end outputs still appear (they sit on edges from reachable
-        # vertices)... except formats with no edges at all:
-        assert "F9" not in reachable  # T9's output feeds nobody
-        assert "F15o" not in reachable
-
     def test_dead_services(self, analysis):
         dead = set(analysis.dead_services())
         # T9 and T15 cannot reach the receiver; T4/T5 only feed T15.
@@ -54,12 +45,6 @@ class TestOnFigure6:
         _, bottleneck = widest
         # Every chain ends on a 2 Mbit/s access link.
         assert bottleneck == pytest.approx(2_000_000.0)
-
-    def test_bottleneck_edges_are_sorted(self, analysis):
-        edges = analysis.bottleneck_edges(top=4)
-        bandwidths = [e.bandwidth_bps for e in edges]
-        assert bandwidths == sorted(bandwidths)
-        assert len(edges) == 4
 
     def test_summary_mentions_key_facts(self, analysis):
         text = analysis.summary()

@@ -92,22 +92,36 @@ def test_batch_traces_default_off_with_explicit_opt_in():
     silent = BatchPlanner.for_scenario(scenario, cache=PlanCache())
     plans = silent.plan_batch(requests)
     assert all(plan.result.trace is None for plan in plans)
-    traced = BatchPlanner.for_scenario(
-        scenario, cache=PlanCache(), record_trace=True
-    )
-    traced_plans = traced.plan_batch(requests)
-    assert all(plan.result.trace is not None for plan in traced_plans)
-    # Plan equality is unaffected by tracing: everything the algorithm
-    # defines (path, formats, configuration, satisfaction, cost, rounds)
-    # matches; only the trace observability differs.
-    for silent_plan, traced_plan in zip(plans, traced_plans):
-        bare = traced_plan.result.__class__(
-            **{**traced_plan.result.__dict__, "trace": None, "stats": None}
-        )
-        silent_bare = silent_plan.result.__class__(
-            **{**silent_plan.result.__dict__, "stats": None}
-        )
-        assert bare == silent_bare
+
+    def session_plan(request, record_trace):
+        return AdaptationSession(
+            registry=scenario.registry,
+            parameters=scenario.parameters,
+            catalog=scenario.catalog,
+            placement=scenario.placement,
+            content=request.content,
+            device=request.device,
+            user=request.user,
+            sender_node=request.sender_node,
+            receiver_node=request.receiver_node,
+            context=request.context,
+            record_trace=record_trace,
+        ).plan(peer=request.peer)
+
+    def bare(result):
+        return result.__class__(**{**result.__dict__, "trace": None, "stats": None})
+
+    # A trace is opted into per session, and it never changes the plan:
+    # everything the algorithm defines (path, formats, configuration,
+    # satisfaction, cost, rounds) matches; only the trace observability
+    # (and the memo-dependent stats) differ.
+    for request, batch_plan in zip(requests, plans):
+        traced = session_plan(request, record_trace=True)
+        untraced = session_plan(request, record_trace=False)
+        assert traced.result.trace is not None
+        assert untraced.result.trace is None
+        assert bare(traced.result) == bare(untraced.result)
+        assert bare(traced.result) == bare(batch_plan.result)
 
 
 def test_batch_shares_one_optimize_memo():

@@ -22,7 +22,6 @@ from repro.formats.format import MediaFormat, MediaType
 from repro.formats.variants import ContentVariant
 from repro.core.configuration import Configuration
 from repro.core.parameters import COLOR_DEPTH, FRAME_RATE, RESOLUTION
-from repro.core.selection import TieBreakPolicy
 from repro.planner import PlanCache, fingerprint_request
 from repro.profiles.context import ContextProfile
 from repro.profiles.device import DeviceProfile
@@ -166,9 +165,6 @@ def test_mutated_request_profiles_change_fingerprint():
     )
     assert _fingerprint(scenario, device=other_device) != base
     assert _fingerprint(scenario, peer="bob") != base
-    assert _fingerprint(scenario, tie_break=TieBreakPolicy.ASCENDING_ID) != base
-    assert _fingerprint(scenario, prune=False) != base
-    assert _fingerprint(scenario, record_trace=True) != base
     assert (
         _fingerprint(scenario, context=ContextProfile(location="train")) != base
     )

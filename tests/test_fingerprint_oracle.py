@@ -22,7 +22,6 @@ from hypothesis import given, settings, strategies as st
 from repro.core.graph import CatalogView
 from repro.core.parameters import FRAME_RATE
 from repro.core.satisfaction import LinearSatisfaction
-from repro.core.selection import TieBreakPolicy
 from repro.network.reservations import BandwidthLedger
 from repro.planner import fingerprint_request
 from repro.profiles.device import DeviceProfile
@@ -45,11 +44,10 @@ STEPS = [
     "device",
 ]
 
-#: Planner knobs each world is fingerprinted under at every step.
+#: Request knobs each world is fingerprinted under at every step.
 KNOBS = [
     {},
-    {"tie_break": TieBreakPolicy.DESCENDING_ID, "prune": False},
-    {"peer": "bob", "record_trace": True},
+    {"peer": "bob"},
 ]
 
 

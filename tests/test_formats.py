@@ -121,12 +121,6 @@ class TestFormatRegistry:
             registry.define(name)
         assert registry.names() == ["B", "A", "C"]
 
-    def test_by_media_type(self):
-        registry = FormatRegistry()
-        registry.define("v", MediaType.VIDEO)
-        registry.define("a", MediaType.AUDIO)
-        assert [f.name for f in registry.by_media_type(MediaType.AUDIO)] == ["a"]
-
     def test_constructor_accepts_iterable(self):
         registry = FormatRegistry([MediaFormat(name="x"), MediaFormat(name="y")])
         assert len(registry) == 2

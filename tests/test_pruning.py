@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.baselines import ExhaustiveSelector
-from repro.core.graph import AdaptationGraph, Edge
+from repro.core.graph import AdaptationGraph
 from repro.core.pruning import GraphPruner, PruningReport
 from repro.workloads.synthetic import SyntheticConfig, generate_scenario
 
@@ -79,39 +79,3 @@ class TestPruner:
 
         assert best(pruned) == pytest.approx(best(graph))
 
-    def test_zero_bandwidth_edges_dropped(self):
-        graph = simple_world()
-        dead = Edge("sender", "T1", "F0", 0.0)
-        rebuilt = AdaptationGraph(
-            graph.vertices(),
-            list(graph.edges()) + [],
-            graph.sender_id,
-            graph.receiver_id,
-        )
-        # Inject by constructing a fresh graph including the dead edge.
-        with_dead = AdaptationGraph(
-            graph.vertices(),
-            list(graph.edges()) + [dead],
-            graph.sender_id,
-            graph.receiver_id,
-        )
-        pruned, _ = GraphPruner().prune(with_dead)
-        assert all(e.bandwidth_bps > 0 for e in pruned.edges())
-
-    def test_parallel_duplicate_edges_deduplicated(self):
-        graph = simple_world()
-        duplicate = Edge("sender", "T1", "F0", 9e9, transmission_cost=0.0)
-        with_duplicate = AdaptationGraph(
-            graph.vertices(),
-            list(graph.edges()) + [duplicate],
-            graph.sender_id,
-            graph.receiver_id,
-        )
-        pruned, _ = GraphPruner().prune(with_duplicate)
-        parallel = [
-            e
-            for e in pruned.edges()
-            if (e.source, e.target, e.format_name) == ("sender", "T1", "F0")
-        ]
-        assert len(parallel) == 1
-        assert parallel[0].bandwidth_bps == 9e9  # the wider one won

@@ -7,17 +7,23 @@ import math
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ValidationError
-from repro.network.generators import chain_topology
 from repro.network.reservations import BandwidthLedger
+from repro.network.topology import NetworkTopology
 
 LINK_CAPACITY = 10e6
 CHAIN_LENGTH = 5
 
 
 def fresh_ledger() -> BandwidthLedger:
-    return BandwidthLedger(
-        chain_topology(CHAIN_LENGTH, bandwidth_bps=LINK_CAPACITY)
-    )
+    """A ledger over the chain ``hop0 -- hop1 -- ... -- hop4``."""
+    topology = NetworkTopology()
+    for index in range(CHAIN_LENGTH):
+        topology.node(f"hop{index}")
+    for index in range(CHAIN_LENGTH - 1):
+        topology.link(
+            f"hop{index}", f"hop{index + 1}", LINK_CAPACITY, delay_ms=5.0
+        )
+    return BandwidthLedger(topology)
 
 
 route_strategy = st.tuples(

@@ -178,7 +178,7 @@ class TestDelivery:
 
     def test_report_summary_renders(self, fig6):
         session = fig6.session()
-        report = session.plan_and_deliver(duration_s=5.0)
+        report = session.deliver(session.plan(), duration_s=5.0)
         text = report.summary()
         assert "satisfaction" in text
         assert "sender,T7,receiver" in text

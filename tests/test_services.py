@@ -217,19 +217,6 @@ class TestServiceCatalog:
         assert [s.service_id for s in catalog.accepting("F1")] == ["T2", "T10"]
         assert [s.service_id for s in catalog.producing("F1")] == ["T1"]
 
-    def test_successors_of(self):
-        catalog = self._catalog()
-        t1 = catalog.get("T1")
-        assert [s.service_id for s in catalog.successors_of(t1)] == ["T2", "T10"]
-
-    def test_find_endpoints(self):
-        catalog = self._catalog()
-        assert catalog.find_sender() is None
-        catalog.add(sender_descriptor("sender", ("F0",)))
-        catalog.add(receiver_descriptor("receiver", ("F3",)))
-        assert catalog.find_sender().service_id == "sender"
-        assert catalog.find_receiver().service_id == "receiver"
-
 
 class TestAdaptationChain:
     def _pieces(self):
@@ -318,8 +305,3 @@ class TestAdaptationChain:
         )
         with pytest.raises(ChainValidationError):
             chain.execute(wrong, registry)
-
-    def test_transcoder_hops(self):
-        _, sender, t1, t2, receiver = self._pieces()
-        chain = chain_from_services([sender, t1, t2, receiver], ["F0", "F1", "F2"])
-        assert [h.service.service_id for h in chain.transcoder_hops()] == ["T1", "T2"]

@@ -240,8 +240,8 @@ class TestFaults:
         run = SimulationRun(config)
         run.execute()
         # After the fault window the overlay must be clean again.
-        assert run.world.link_factor(link.a, link.b) == 1.0
-        assert world_probe.link_factor(link.a, link.b) == 1.0
+        assert run.world.effective_capacity(link) == link.bandwidth_bps
+        assert world_probe.effective_capacity(link) == link.bandwidth_bps
 
     def test_flash_crowd_adds_sessions(self, small_scenario):
         report = run_simulation(
@@ -321,7 +321,7 @@ class TestWorldResidual:
         link = small_scenario.topology.links()[0]
         with pytest.raises(ValidationError):
             world.set_link_factor(link.a, link.b, factor)
-        assert world.link_factor(link.a, link.b) == 1.0
+        assert world.effective_capacity(link) == link.bandwidth_bps
         assert world.generation == 0
         residual = world.ledger.residual_topology().get_link(link.a, link.b)
         assert residual.bandwidth_bps == link.bandwidth_bps
@@ -361,7 +361,10 @@ class TestWorldResidual:
             for lease in leases
         ]
         assert len(world.ledger) == len(leases)
-        assert min(world.supply_fraction(lease.route) for lease in leases) < 1.0
+        assert (
+            min(world.ledger.supply_fraction(lease.route) for lease in leases)
+            < 1.0
+        )
         for reservation in taken:
             world.ledger.release(reservation)
 
