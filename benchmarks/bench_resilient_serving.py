@@ -23,6 +23,8 @@ the gateway over an unprotected baseline:
 Run directly:
     PYTHONPATH=src python -m pytest benchmarks/bench_resilient_serving.py -v
 Scale with RESILIENT_BENCH_REQUESTS (default 400 per storm campaign).
+The storm digest is also written alone to ``resilient_serving_digest.txt``
+(CI diffs it at its size).
 """
 
 from __future__ import annotations
@@ -352,4 +354,9 @@ def test_breaker_restores_success_under_gray_failure(benchmark, save_artifact):
         f"E21 — gray-failure storm: breaker-enabled gateway vs unprotected "
         f"baseline (deadline {DEADLINE_MS:.0f} ms, seed {SEED})\n\n"
         + format_table(["metric", "value"], rows),
+    )
+    save_artifact(
+        "resilient_serving_digest.txt",
+        f"E21 — same-seed protected storm digest ({protected['requests']} "
+        f"requests, seed {SEED})\n{protected['digest']}",
     )

@@ -1,17 +1,18 @@
 """Admission machinery for the planning gateway.
 
-Two mechanisms stand between an arriving request and a planner worker:
+Two mechanisms stand between an arriving request and its planning run:
 
 - :class:`RateLimiter` — per-client token buckets.  A client that bursts
   past its refill rate is told to back off (429 + ``Retry-After``) before
   its request ever touches the queue, so one greedy client cannot starve
   the fleet.
-- :class:`DeadlineQueue` — a bounded earliest-deadline-first priority
-  queue.  ``try_put`` refuses (returns ``False``) when the queue is at
-  capacity: that is the load-shedding decision, taken in O(1) at arrival
-  rather than after the request has aged in an unbounded backlog.  Workers
-  pop the request whose deadline expires soonest, so under pressure the
-  gateway spends its planning budget where it can still make the deadline.
+- :class:`DeadlineQueue` — the planning slots and a bounded
+  earliest-deadline-first line of requests waiting for one.  ``enter``
+  refuses (returns ``None``) when the line is full: that is the
+  load-shedding decision, taken in O(1) at arrival rather than after the
+  request has aged in an unbounded backlog.  A freed slot goes to the
+  waiter whose deadline expires soonest, so under pressure the gateway
+  spends its planning budget where it can still make the deadline.
 
 Both are deliberately clock-injected (``now`` is always a parameter or a
 callable) so tests drive them deterministically without sleeping.
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import heapq
 from collections import OrderedDict
-from typing import Any, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import asyncio
 
@@ -120,49 +121,61 @@ class RateLimiter:
 
 
 class DeadlineQueue:
-    """A bounded earliest-deadline-first queue for one asyncio loop.
+    """Planning slots for one asyncio loop, granted earliest deadline first.
 
-    ``try_put`` is synchronous and never blocks: a full queue is a shed
-    signal, not a place to wait.  ``get`` awaits the next item in deadline
-    order.  ``drain_pending`` empties the queue at shutdown so every
-    queued item can be answered (503) instead of silently dropped.
+    ``slots`` requests plan at once; up to ``maxsize`` more wait for a
+    slot.  :meth:`enter` never blocks: a full waiting line is a shed
+    signal, not a place to wait.  :meth:`leave` hands the freed slot to
+    the waiter whose deadline expires soonest, and :meth:`drain_pending`
+    turns every waiter away at shutdown so each can still be answered
+    (503) instead of silently dropped.
     """
 
-    def __init__(self, maxsize: int) -> None:
+    def __init__(self, maxsize: int, slots: int) -> None:
         if maxsize < 1:
             raise ValidationError("DeadlineQueue needs maxsize >= 1")
+        if slots < 1:
+            raise ValidationError("DeadlineQueue needs slots >= 1")
         self._maxsize = maxsize
-        self._heap: List[Tuple[float, int, Any]] = []
+        self._free = slots
+        self._heap: List[Tuple[float, int, "asyncio.Future[bool]"]] = []
         self._seq = 0
-        self._not_empty: asyncio.Event = asyncio.Event()
 
     def __len__(self) -> int:
+        """Waiters still in line (a cancelled one until :meth:`leave`
+        skips it)."""
         return len(self._heap)
 
-    @property
-    def maxsize(self) -> int:
-        return self._maxsize
+    def enter(self, deadline: float) -> "Optional[asyncio.Future[bool]]":
+        """A future that completes ``True`` once a slot is granted;
+        ``None`` means the waiting line is full and the caller must shed.
 
-    def try_put(self, deadline: float, item: Any) -> bool:
-        """Enqueue unless full; ``False`` means the caller must shed."""
+        A caller whose await is cancelled after the grant still holds the
+        slot and must :meth:`leave`.
+        """
+        ticket = asyncio.get_running_loop().create_future()
+        if self._free:
+            self._free -= 1
+            ticket.set_result(True)
+            return ticket
         if len(self._heap) >= self._maxsize:
-            return False
-        heapq.heappush(self._heap, (deadline, self._seq, item))
+            return None
+        heapq.heappush(self._heap, (deadline, self._seq, ticket))
         self._seq += 1
-        self._not_empty.set()
-        return True
+        return ticket
 
-    async def get(self) -> Tuple[float, Any]:
-        """The (deadline, item) pair with the earliest deadline."""
-        while not self._heap:
-            self._not_empty.clear()
-            await self._not_empty.wait()
-        deadline, _, item = heapq.heappop(self._heap)
-        return deadline, item
+    def leave(self) -> None:
+        """Give a slot back: the earliest-deadline live waiter takes it."""
+        while self._heap:
+            _, _, ticket = heapq.heappop(self._heap)
+            if not ticket.done():
+                ticket.set_result(True)
+                return
+        self._free += 1
 
-    def drain_pending(self) -> List[Any]:
-        """Remove and return every queued item (shutdown path)."""
-        items = [item for _, _, item in sorted(self._heap)]
+    def drain_pending(self) -> None:
+        """Complete every waiter ``False`` (shutdown path)."""
+        for _, _, ticket in self._heap:
+            if not ticket.done():
+                ticket.set_result(False)
         self._heap.clear()
-        self._not_empty.clear()
-        return items

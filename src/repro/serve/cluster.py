@@ -8,13 +8,12 @@ forks ``N`` worker processes, each running its *own* gateway — private
 :class:`~repro.planner.cache.PlanCache` — all accepting from one shared
 ``(host, port)``.
 
-Socket sharing uses ``SO_REUSEPORT`` where the platform has it: the
-parent binds an *anchor* socket (bound, never listening — it reserves
-the port and surfaces bind conflicts early without joining the kernel's
-reuseport lookup group), and every worker binds its own listening socket
-to the same address, letting the kernel spread accepted connections
-across them.  Without ``SO_REUSEPORT`` the parent binds and listens
-once and children serve the inherited socket (classic pre-fork accept).
+Socket sharing uses ``SO_REUSEPORT`` (a cluster refuses to start on a
+platform without it): the parent binds an *anchor* socket (bound, never
+listening — it reserves the port and surfaces bind conflicts early
+without joining the kernel's reuseport lookup group), and every worker
+binds its own listening socket to the same address, letting the kernel
+spread accepted connections across them.
 
 Each worker additionally listens on a private ephemeral port running the
 same dispatch.  The supervisor scrapes per-worker ``/metrics`` there,
@@ -60,6 +59,7 @@ from repro.runtime.metrics import (
 from repro.serve.gateway import (
     GatewayConfig,
     PlanningGateway,
+    bind_reuseport,
     serve_connection,
     wait_for_drain,
 )
@@ -71,15 +71,15 @@ from repro.serve.sharding import ShardRouter
 from repro.workloads.io import load_scenario
 from repro.workloads.scenario import Scenario
 
-__all__ = ["ClusterConfig", "ClusterSupervisor", "supports_reuseport"]
+__all__ = ["ClusterConfig", "ClusterSupervisor"]
 
 #: Per-scrape timeout when the supervisor fetches a worker's /metrics.
 _SCRAPE_TIMEOUT_S = 2.0
-
-
-def supports_reuseport() -> bool:
-    """Whether this platform can share a listening port across processes."""
-    return hasattr(socket, "SO_REUSEPORT")
+#: Cap on the doubling restart delay of a crash-looping worker.
+_RESTART_BACKOFF_MAX_S = 2.0
+#: How long :meth:`ClusterSupervisor.start` waits for every worker's
+#: ``ready`` message before declaring the boot failed.
+_READY_TIMEOUT_S = 15.0
 
 
 @dataclass(frozen=True)
@@ -93,12 +93,9 @@ class ClusterConfig:
     admin_host: str = "127.0.0.1"
     admin_port: int = 8078
     #: First restart delay after a worker death; doubles per consecutive
-    #: death up to the max, and resets when a replacement reports ready.
+    #: death up to ``_RESTART_BACKOFF_MAX_S``, and resets when a
+    #: replacement reports ready.
     restart_backoff_s: float = 0.1
-    restart_backoff_max_s: float = 2.0
-    #: How long :meth:`ClusterSupervisor.start` waits for every worker's
-    #: ``ready`` message before declaring the boot failed.
-    ready_timeout_s: float = 15.0
     #: Per-worker bound on a reload acknowledgement: a worker that has
     #: not answered by then is reported with status ``timeout`` instead
     #: of stalling the whole fan-out (e.g. a SIGSTOP'd process).
@@ -116,12 +113,11 @@ def _worker_main(
     scenario: Scenario,
     scenario_path: Optional[str],
     conn: Any,
-    listen_sock: Optional[socket.socket],
 ) -> None:
     """Child-process entry: run one gateway until drained.
 
     Forked from inside the parent's running event loop, so the first job
-    is shedding inherited asyncio signal plumbing: the parent loop's
+    is shedding the asyncio signal plumbing copied from the parent: its
     wakeup fd would otherwise receive this child's signals, and the
     parent's handlers are meaningless here.
     """
@@ -129,9 +125,7 @@ def _worker_main(
     for signum in (signal.SIGTERM, signal.SIGINT, signal.SIGHUP):
         signal.signal(signum, signal.SIG_DFL)
     try:
-        asyncio.run(
-            _worker_async(config, scenario, scenario_path, conn, listen_sock)
-        )
+        asyncio.run(_worker_async(config, scenario, scenario_path, conn))
     except (KeyboardInterrupt, BrokenPipeError):  # pragma: no cover
         pass
     finally:
@@ -146,7 +140,6 @@ async def _worker_async(
     scenario: Scenario,
     scenario_path: Optional[str],
     conn: Any,
-    listen_sock: Optional[socket.socket],
 ) -> None:
     gateway = PlanningGateway(scenario, config)
     loop = asyncio.get_running_loop()
@@ -210,9 +203,7 @@ async def _worker_async(
             ),
         )
 
-    final = await gateway.run(
-        install_signals=True, on_ready=on_ready, sock=listen_sock
-    )
+    final = await gateway.run(install_signals=True, on_ready=on_ready)
     try:
         loop.remove_reader(conn.fileno())
     except (OSError, ValueError):
@@ -303,15 +294,15 @@ class ClusterSupervisor:
             raise GatewayError(
                 "cluster mode requires the 'fork' process start method"
             ) from None
+        if not hasattr(socket, "SO_REUSEPORT"):  # pragma: no cover
+            raise GatewayError("cluster mode requires SO_REUSEPORT")
         self._scenario_path = scenario_path
         self._router = ShardRouter.for_cluster(self._cluster.workers)
         self._handles: Dict[int, _WorkerHandle] = {
             worker_id: _WorkerHandle(worker_id=worker_id)
             for worker_id in range(self._cluster.workers)
         }
-        self._mode: Optional[str] = None
         self._anchor: Optional[socket.socket] = None
-        self._listen_sock: Optional[socket.socket] = None
         self._admin_server: Optional[asyncio.AbstractServer] = None
         #: Writers of admin connections parked between requests.
         self._admin_idle: Set[asyncio.StreamWriter] = set()
@@ -380,20 +371,13 @@ class ClusterSupervisor:
         self._started_at = loop.time()
         self._drain_requested = asyncio.Event()
         self._reload_lock = asyncio.Lock()
-        host = self._gateway_config.host
-        port = self._gateway_config.port
-        if supports_reuseport():
-            # Bound but never listening: reserves the port without joining
-            # the kernel's reuseport group, so no connection is ever routed
-            # to the never-accepting parent.
-            self._anchor = _bind_socket(host, port, reuseport=True)
-            self._port = self._anchor.getsockname()[1]
-            self._mode = "reuseport"
-        else:  # pragma: no cover - exercised only on exotic platforms
-            self._listen_sock = _bind_socket(host, port, reuseport=False)
-            self._listen_sock.listen(512)
-            self._port = self._listen_sock.getsockname()[1]
-            self._mode = "inherited"
+        # Bound but never listening: reserves the port without joining
+        # the kernel's reuseport group, so no connection is ever routed to
+        # the never-accepting parent.
+        self._anchor = bind_reuseport(
+            self._gateway_config.host, self._gateway_config.port
+        )
+        self._port = self._anchor.getsockname()[1]
         try:
             for worker_id in range(self._cluster.workers):
                 self._spawn_worker(worker_id)
@@ -482,7 +466,7 @@ class ClusterSupervisor:
             ]
         )
         await self._close_admin()
-        self._close_sockets()
+        self._close_anchor()
         return final
 
     async def _abort(self) -> None:
@@ -497,7 +481,7 @@ class ClusterSupervisor:
                 self._detach_worker(handle)
                 handle.alive = False
         await self._close_admin()
-        self._close_sockets()
+        self._close_anchor()
 
     async def _close_admin(self) -> None:
         if self._admin_server is not None:
@@ -510,12 +494,10 @@ class ClusterSupervisor:
             await self._admin_server.wait_closed()
             self._admin_server = None
 
-    def _close_sockets(self) -> None:
-        for sock in (self._anchor, self._listen_sock):
-            if sock is not None:
-                sock.close()
-        self._anchor = None
-        self._listen_sock = None
+    def _close_anchor(self) -> None:
+        if self._anchor is not None:
+            self._anchor.close()
+            self._anchor = None
 
     def _alive_count(self) -> int:
         return sum(1 for handle in self._handles.values() if handle.alive)
@@ -529,20 +511,13 @@ class ClusterSupervisor:
         config = replace(
             self._gateway_config,
             port=self._port,
-            reuse_port=self._mode == "reuseport",
             worker_id=worker_id,
             cluster_size=self._cluster.workers,
             private_port=0,
         )
         process = self._ctx.Process(
             target=_worker_main,
-            args=(
-                config,
-                self._scenario,
-                self._scenario_path,
-                child_conn,
-                self._listen_sock,
-            ),
+            args=(config, self._scenario, self._scenario_path, child_conn),
             name=f"repro-worker-{worker_id}",
         )
         process.start()
@@ -564,7 +539,7 @@ class ClusterSupervisor:
         ]
         try:
             await asyncio.wait_for(
-                asyncio.gather(*waits), timeout=self._cluster.ready_timeout_s
+                asyncio.gather(*waits), timeout=_READY_TIMEOUT_S
             )
         except asyncio.TimeoutError:
             missing = sorted(
@@ -574,7 +549,7 @@ class ClusterSupervisor:
             )
             raise GatewayError(
                 f"workers {missing} failed to report ready within "
-                f"{self._cluster.ready_timeout_s:g}s"
+                f"{_READY_TIMEOUT_S:g}s"
             ) from None
 
     def _on_worker_message(self, worker_id: int) -> None:
@@ -710,7 +685,7 @@ class ClusterSupervisor:
                 handle.backoff_s * 2.0,
                 self._cluster.restart_backoff_s,
             ),
-            self._cluster.restart_backoff_max_s,
+            _RESTART_BACKOFF_MAX_S,
         )
         asyncio.get_running_loop().create_task(
             self._restart_worker(worker_id, delay)
@@ -1013,7 +988,6 @@ class ClusterSupervisor:
             "host": self._gateway_config.host,
             "port": self.port,
             "admin_port": self.admin_port,
-            "mode": self._mode,
             "ring": self._router.to_dict(),
             "workers": [
                 {
@@ -1032,15 +1006,3 @@ class ClusterSupervisor:
             ],
         }
 
-
-def _bind_socket(host: str, port: int, reuseport: bool) -> socket.socket:
-    sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    try:
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        if reuseport:
-            sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
-        sock.bind((host, port))
-    except OSError:
-        sock.close()
-        raise
-    return sock

@@ -2,20 +2,21 @@
 
 One :class:`PlanningGateway` is the always-on intermediary the paper
 assumes (Sections 4.2–4.4): clients POST plan requests, the gateway
-admits them through a per-client rate limiter and a bounded
-earliest-deadline-first queue, planner workers probe the shared
-:class:`~repro.planner.batch.BatchPlanner` (policy pass + plan cache) on
-the event loop and send only selector runs (shared optimize memo) to a
-thread pool, and every outcome — served, shed, expired, timed out — is
-metered and answered.  Nothing in the admission
-or planning path lets an exception escape unhandled: failure is a
-response, not a crash.
+admits them through a per-client rate limiter and the planning slots of
+a :class:`~repro.serve.admission.DeadlineQueue` (granted earliest
+deadline first; a full waiting line sheds), and plans each one on the
+connection task that read it: the probe of the shared
+:class:`~repro.planner.batch.BatchPlanner` (policy pass + plan cache)
+runs on the event loop and only selector runs (shared optimize memo) go
+to a thread pool.  Every outcome — served, shed, expired, timed out — is
+metered and answered.  Nothing in the admission or planning path lets
+an exception escape unhandled: failure is a response, not a crash.
 
 Lifecycle: :meth:`run` starts the listener, installs SIGTERM/SIGINT
 drain handlers (and SIGHUP reload when serving from a scenario file),
 and blocks until a drain completes.  Draining stops accepting, answers
-everything in flight or queued, flushes the final metrics document, and
-returns it.
+everything planning or waiting for a slot, flushes the final metrics
+document, and returns it.
 
 Hot swap: :meth:`swap_scenario` atomically replaces the serving world
 (scenario + planner) under a bumped generation counter and clears the
@@ -83,6 +84,11 @@ __all__ = ["GatewayConfig", "PlanningGateway"]
 #: What every request handler returns: ``(status, payload, headers)``.
 _Answer = Tuple[int, Dict[str, Any], Dict[str, str]]
 
+#: Upper bound a request's ``deadline_ms`` may ask for.
+_MAX_DEADLINE_MS = 10_000.0
+#: ``Retry-After`` seconds suggested on queue and planner-pool sheds.
+_SHED_RETRY_AFTER_S = 0.5
+
 
 @dataclass(frozen=True)
 class GatewayConfig:
@@ -92,24 +98,21 @@ class GatewayConfig:
     #: 0 binds an ephemeral port (tests); :attr:`PlanningGateway.port`
     #: reports the bound one.
     port: int = 8077
-    #: Bounded depth of the deadline queue; arrivals past it are shed.
+    #: Requests that may wait for a planning slot; arrivals past it are shed.
     queue_depth: int = 256
-    #: Planner workers (asyncio tasks) == planning threads in the pool.
-    #: A planning call that overruns its deadline is answered 504 but its
-    #: thread cannot be cancelled and keeps running; while such abandoned
-    #: work saturates the pool, new submissions are shed (429,
-    #: ``shed_busy``) rather than queued invisibly inside the executor.
+    #: Planning slots (requests planning at once) == planning threads in
+    #: the pool.  A planning call that overruns its deadline is answered
+    #: 504 and gives its slot back, but its thread cannot be cancelled and
+    #: keeps running; while such abandoned work saturates the pool, new
+    #: submissions are shed (429, ``shed_busy``) rather than queued
+    #: invisibly inside the executor.
     workers: int = 4
     #: Deadline applied when a request does not carry ``deadline_ms``.
     default_deadline_ms: float = 250.0
-    #: Upper bound a request may ask for.
-    max_deadline_ms: float = 10_000.0
     #: Per-client token bucket refill rate; 0 disables rate limiting.
     rate_per_s: float = 0.0
     #: Per-client burst capacity.
     burst: float = 50.0
-    #: ``Retry-After`` seconds suggested on queue sheds.
-    shed_retry_after_s: float = 0.5
     #: Plan-cache capacity shared across all workers.
     cache_size: int = 4096
     #: Grace period for in-flight work at drain.
@@ -119,13 +122,11 @@ class GatewayConfig:
     #: Test/bench knob: pad each successfully planned request to at least
     #: this service time, making saturation reproducible on any machine.
     service_floor_ms: float = 0.0
-    #: Bind the public listener with ``SO_REUSEPORT`` so sibling worker
-    #: processes can share the port (cluster mode); requires the platform
-    #: to support the option.
-    reuse_port: bool = False
-    #: This gateway's identity inside a worker cluster.  When set, every
-    #: response carries an ``x-worker-id`` header and hinted requests are
-    #: metered as shard hits/misses.  ``None`` means standalone.
+    #: This gateway's identity inside a worker cluster.  When set, the
+    #: public listener binds with ``SO_REUSEPORT`` so sibling workers
+    #: share the port, every response carries an ``x-worker-id`` header
+    #: and hinted requests are metered as shard hits/misses.  ``None``
+    #: means standalone.
     worker_id: Optional[int] = None
     #: Total workers in the cluster this gateway belongs to (sizes the
     #: shard ring used for hit/miss accounting); 1 means standalone.
@@ -142,8 +143,8 @@ class GatewayConfig:
     #: nearly spent deadline) answers a degraded passthrough instead of
     #: an error.  ``None`` keeps the classic fail-open behavior.
     health: Optional[HealthConfig] = None
-    #: With health enabled: if the remaining deadline budget at dequeue
-    #: is at or below this, answer degraded immediately rather than
+    #: With health enabled: if the remaining deadline budget once a
+    #: planning slot is granted is at or below this, answer degraded immediately rather than
     #: gamble on a planning run that would likely 504.
     degraded_budget_ms: float = 25.0
 
@@ -161,12 +162,9 @@ class _GatewayState:
 
 @dataclass
 class _QueuedRequest:
-    """One admitted request waiting for (or holding) a planner worker."""
+    """One admitted request holding a planning slot."""
 
     envelope: Any
-    deadline: float
-    enqueued_at: float
-    future: "asyncio.Future[_Answer]"
 
 
 def _new_state(
@@ -184,6 +182,23 @@ def _new_state(
         group=GroupPlanner(planner),
         generation=generation,
     )
+
+
+def bind_reuseport(host: str, port: int) -> socket.socket:
+    """A bound, not yet listening, ``SO_REUSEPORT`` socket.
+
+    Cluster workers listen on one each to share ``(host, port)``; the
+    supervisor holds one that never listens to reserve the port.
+    """
+    sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    try:
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
+        sock.bind((host, port))
+    except OSError:
+        sock.close()
+        raise
+    return sock
 
 
 async def serve_connection(
@@ -319,7 +334,9 @@ class PlanningGateway:
             scenario, self._cache, generation=1, policy_engine=self._policy
         )
         self._scenario_path = scenario_path
-        self._queue = DeadlineQueue(self._config.queue_depth)
+        self._queue = DeadlineQueue(
+            self._config.queue_depth, self._config.workers
+        )
         self._limiter = RateLimiter(self._config.rate_per_s, self._config.burst)
         self._metrics = GatewayMetrics()
         self._executor = ThreadPoolExecutor(
@@ -333,8 +350,10 @@ class PlanningGateway:
             if self._config.cluster_size > 1
             else None
         )
-        self._workers: list = []
         self._connections: Set[asyncio.Task] = set()
+        #: Connection tasks holding a planning slot; a drain whose grace
+        #: runs out cancels them, and each answers 503.
+        self._planning: Set[asyncio.Task] = set()
         #: Writers of connections parked between requests.
         self._idle_writers: Set[asyncio.StreamWriter] = set()
         #: Every response a cluster worker writes carries ``x-worker-id``
@@ -495,30 +514,12 @@ class PlanningGateway:
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    def _reuseport_socket(self) -> socket.socket:
-        """A bound (not yet listening) ``SO_REUSEPORT`` listener socket."""
-        if not hasattr(socket, "SO_REUSEPORT"):
-            raise GatewayError(
-                "SO_REUSEPORT is not available on this platform"
-            )
-        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        try:
-            sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
-            sock.bind((self._config.host, self._config.port))
-        except OSError:
-            sock.close()
-            raise
-        return sock
+    async def start(self) -> None:
+        """Bind the listener(s).
 
-    async def start(self, sock: Optional[socket.socket] = None) -> None:
-        """Bind the listener(s) and launch the planner workers.
-
-        ``sock`` lets a cluster worker serve an already-bound listening
-        socket inherited from its supervisor (the no-``SO_REUSEPORT``
-        fallback).  With ``config.reuse_port`` set the gateway instead
-        binds its own socket to the shared ``(host, port)``, letting the
-        kernel spread accepts across sibling workers.  A configured
+        A cluster worker (``config.worker_id`` set) binds its own
+        ``SO_REUSEPORT`` socket to the shared ``(host, port)``, letting
+        the kernel spread accepts across sibling workers.  A configured
         ``private_port`` brings up a second listener running the same
         dispatch — the per-worker address used for metrics scraping and
         shard-affinity routing.
@@ -529,16 +530,10 @@ class PlanningGateway:
         self._loop = loop
         self._started_at = loop.time()
         self._drain_requested = asyncio.Event()
-        self._workers = [
-            loop.create_task(self._worker()) for _ in range(self._config.workers)
-        ]
-        if sock is not None:
+        if self._config.worker_id is not None:
             self._server = await asyncio.start_server(
-                self._on_connection, sock=sock
-            )
-        elif self._config.reuse_port:
-            self._server = await asyncio.start_server(
-                self._on_connection, sock=self._reuseport_socket()
+                self._on_connection,
+                sock=bind_reuseport(self._config.host, self._config.port),
             )
         else:
             self._server = await asyncio.start_server(
@@ -566,16 +561,13 @@ class PlanningGateway:
         self,
         install_signals: bool = True,
         on_ready: Optional[Any] = None,
-        sock: Optional[socket.socket] = None,
     ) -> Dict[str, Any]:
         """Serve until a drain is requested; returns the final metrics.
 
         ``on_ready`` (a callable taking this gateway) fires once the
         listener is bound — the CLI uses it to announce the port.
-        ``sock`` is forwarded to :meth:`start` (cluster workers serve a
-        supervisor-inherited socket).
         """
-        await self.start(sock=sock)
+        await self.start()
         if on_ready is not None:
             on_ready(self)
         await wait_for_drain(
@@ -589,9 +581,11 @@ class PlanningGateway:
     async def drain(self) -> Dict[str, Any]:
         """Stop accepting, finish in-flight work, answer the rest, flush.
 
-        Queued requests that cannot be served inside ``drain_grace_s``
-        are answered 503 rather than dropped; the returned document is
-        the flushed final metrics snapshot.
+        Requests still waiting for a planning slot or still planning when
+        ``drain_grace_s`` ends are answered 503 rather than dropped: the
+        waiters are turned away, and the connection tasks that plan are
+        cancelled and answer.  The returned document is the flushed final
+        metrics snapshot.
         """
         self._draining = True
         servers = [
@@ -605,19 +599,12 @@ class PlanningGateway:
         grace_ends = loop.time() + self._config.drain_grace_s
         while (len(self._queue) or self._inflight) and loop.time() < grace_ends:
             await asyncio.sleep(0.01)
-        for item in self._queue.drain_pending():
-            self._metrics.bump("rejected_draining")
-            self._resolve(
-                item,
-                503,
-                error_payload("draining", "gateway drained before planning"),
-            )
-        for task in self._workers:
+        self._queue.drain_pending()
+        for task in self._planning:
             task.cancel()
-        await asyncio.gather(*self._workers, return_exceptions=True)
-        # Give connection handlers one scheduling round to flush the
-        # resolved futures, then close idle keep-alive connections and
-        # sever whatever is still open.
+        # Give connection handlers a moment to write those answers, then
+        # close idle keep-alive connections and sever whatever is still
+        # open.
         deadline = loop.time() + 1.0
         while self._connections and loop.time() < deadline:
             await asyncio.sleep(0.01)
@@ -827,10 +814,13 @@ class PlanningGateway:
         return 200, summary, {}
 
     async def _admit_plan(self, request: HttpRequest, decode: Any) -> _Answer:
-        """Admit one ``/plan`` or ``/plan-group`` request and await its answer.
+        """Admit one ``/plan`` or ``/plan-group`` request, plan it, answer.
 
-        Both kinds share the limiter, the deadline queue and its sheds;
-        only ``decode`` differs here, and :meth:`_plan_one` plans both.
+        Both kinds share the limiter, the planning slots and their sheds;
+        only ``decode`` differs here, and :meth:`_plan_one` plans both on
+        this task, the one that read the request.  A drain turns away a
+        request still waiting for its slot and cancels one still
+        planning; either way it is answered 503.
         """
         loop = asyncio.get_running_loop()
         now = loop.time()
@@ -841,7 +831,7 @@ class PlanningGateway:
             envelope = decode(
                 request.body,
                 self._state.scenario.registry,
-                self._config.max_deadline_ms,
+                _MAX_DEADLINE_MS,
             )
         except ReproError as exc:
             self._metrics.bump("invalid")
@@ -869,87 +859,91 @@ class PlanningGateway:
             else self._config.default_deadline_ms
         )
         deadline = now + deadline_ms / 1000.0
-        item = _QueuedRequest(
-            envelope=envelope,
-            deadline=deadline,
-            enqueued_at=now,
-            future=loop.create_future(),
-        )
-        if not self._queue.try_put(deadline, item):
+        ticket = self._queue.enter(deadline)
+        if ticket is None:
             self._metrics.bump("shed_queue")
             return (
                 429,
                 error_payload("shed", "deadline queue full"),
-                {"retry-after": f"{self._config.shed_retry_after_s:.3f}"},
+                {"retry-after": f"{_SHED_RETRY_AFTER_S:.3f}"},
             )
-        status, payload, headers = await item.future
+        task = asyncio.current_task()
+        try:
+            if not await ticket:
+                self._metrics.bump("rejected_draining")
+                answer: _Answer = (
+                    503,
+                    error_payload("draining", "gateway drained before planning"),
+                    {},
+                )
+            else:
+                self._planning.add(task)
+                answer = await self._plan_granted(loop, envelope, now, deadline)
+        except asyncio.CancelledError:
+            if not self._draining:
+                raise
+            # Drain cut this request's planning short: answer it.  The
+            # cancel is spent, so take it back where Python counts them
+            # (3.11 on).
+            uncancel = getattr(task, "uncancel", None)
+            if uncancel is not None:
+                uncancel()
+            answer = (
+                503, error_payload("draining", "gateway drained while planning"), {}
+            )
+        finally:
+            self._planning.discard(task)
+            # A ticket cancelled while waiting was never granted; one
+            # granted (even if this task was cancelled before it resumed)
+            # holds a slot until here.
+            if not ticket.cancelled() and ticket.result():
+                self._queue.leave()
         self._metrics.latency_ms.observe((loop.time() - now) * 1000.0)
-        return status, payload, headers
+        return answer
 
-    # ------------------------------------------------------------------
-    # Planner workers
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _resolve(
-        item: _QueuedRequest,
-        status: int,
-        payload: Dict[str, Any],
-        headers: Optional[Dict[str, str]] = None,
-    ) -> None:
-        if not item.future.done():
-            item.future.set_result((status, payload, headers or {}))
+    async def _plan_granted(
+        self,
+        loop: asyncio.AbstractEventLoop,
+        envelope: Any,
+        arrived: float,
+        deadline: float,
+    ) -> _Answer:
+        """Plan a request that holds its slot.
 
-    async def _worker(self) -> None:
-        loop = asyncio.get_running_loop()
-        while True:
-            try:
-                deadline, item = await self._queue.get()
-            except asyncio.CancelledError:
-                raise
-            if item.future.done():
-                continue
-            now = loop.time()
-            queue_ms = (now - item.enqueued_at) * 1000.0
-            self._metrics.queue_wait_ms.observe(queue_ms)
-            if now >= deadline:
-                self._metrics.bump("expired")
-                self._resolve(
-                    item,
-                    504,
-                    error_payload(
-                        "timeout",
-                        "deadline expired while queued",
-                        queue_ms=round(queue_ms, 3),
-                    ),
-                )
-                continue
-            self._inflight += 1
-            try:
-                await self._plan_one(loop, item, deadline, queue_ms)
-            except asyncio.CancelledError:
-                self._resolve(
-                    item, 503, error_payload("draining", "worker cancelled")
-                )
-                raise
-            except ReproError as exc:
-                self._metrics.bump("unplannable")
-                self._resolve(item, 422, error_payload("unplannable", str(exc)))
-            except Exception as exc:  # never let a request kill the worker
-                self._metrics.bump("errors")
-                self._resolve(
-                    item,
-                    500,
-                    error_payload("error", f"{type(exc).__name__}: {exc}"),
-                )
-            finally:
-                self._inflight -= 1
+        An expired deadline answers 504 and a typed planning failure 422;
+        anything else reaches :func:`serve_connection`, which answers 500.
+        """
+        granted = loop.time()
+        queue_ms = (granted - arrived) * 1000.0
+        self._metrics.queue_wait_ms.observe(queue_ms)
+        if granted >= deadline:
+            self._metrics.bump("expired")
+            return (
+                504,
+                error_payload(
+                    "timeout",
+                    "deadline expired while queued",
+                    queue_ms=round(queue_ms, 3),
+                ),
+                {},
+            )
+        self._inflight += 1
+        try:
+            return await self._plan_one(
+                loop, _QueuedRequest(envelope), deadline, queue_ms
+            )
+        except ReproError as exc:
+            self._metrics.bump("unplannable")
+            return 422, error_payload("unplannable", str(exc)), {}
+        finally:
+            self._inflight -= 1
 
     def _claim_planning_thread(self) -> bool:
         """Count one more planning job, unless every thread is taken.
 
-        Every planning thread busy — when a worker is free to submit —
-        means threads abandoned past their deadline (``asyncio.wait_for``
-        cannot cancel a running thread).  Submitting would queue behind
+        Every planning thread busy — when a request holds a slot to
+        submit with — means threads abandoned past their deadline
+        (``asyncio.wait_for`` cannot cancel a running thread).  Submitting would queue behind
         work nobody is waiting for and burn the request's deadline
         invisibly; the caller sheds explicitly instead, so the executor
         queue never grows.
@@ -1019,27 +1013,23 @@ class PlanningGateway:
         request = PlanRequest(device=envelope.device or scenario.device, **common)
         return state.planner.probe, request, True, self._answer_plan
 
-    def _resolve_degraded(
+    def _degraded(
         self,
-        item: _QueuedRequest,
         state: _GatewayState,
         reason: str,
         queue_ms: float,
         plan_ms: float = 0.0,
-    ) -> None:
-        """Answer a zero-hop passthrough instead of a 5xx (health mode)."""
+    ) -> _Answer:
+        """A zero-hop passthrough instead of a 5xx (health mode)."""
         self._metrics.bump("degraded")
-        self._resolve(
-            item,
-            200,
-            degraded_response_payload(
-                reason=reason,
-                generation=state.generation,
-                queue_ms=queue_ms,
-                plan_ms=plan_ms,
-                quarantined=sorted(self._active_quarantine),
-            ),
+        payload = degraded_response_payload(
+            reason=reason,
+            generation=state.generation,
+            queue_ms=queue_ms,
+            plan_ms=plan_ms,
+            quarantined=sorted(self._active_quarantine),
         )
+        return 200, payload, {}
 
     async def _plan_one(
         self,
@@ -1047,7 +1037,7 @@ class PlanningGateway:
         item: _QueuedRequest,
         deadline: float,
         queue_ms: float,
-    ) -> None:
+    ) -> _Answer:
         """Plan one admitted request of either kind.
 
         The probe runs on the event loop, so a policy skip, a deny or a
@@ -1072,10 +1062,7 @@ class PlanningGateway:
         ):
             # The budget is nearly spent: a planning run would most
             # likely 504.  Ship the source variant unadapted instead.
-            self._resolve_degraded(
-                item, state, "deadline budget nearly spent", queue_ms
-            )
-            return
+            return self._degraded(state, "deadline budget nearly spent", queue_ms)
         view = self._quarantine_view() if health_on else None
         started = loop.time()
         try:
@@ -1083,15 +1070,13 @@ class PlanningGateway:
             if callable(result):
                 if not self._claim_planning_thread():
                     self._metrics.bump("shed_busy")
-                    self._resolve(
-                        item,
+                    return (
                         429,
                         error_payload(
                             "shed", "planner pool saturated by overrunning work"
                         ),
-                        {"retry-after": f"{self._config.shed_retry_after_s:.3f}"},
+                        {"retry-after": f"{_SHED_RETRY_AFTER_S:.3f}"},
                     )
-                    return
                 result = await asyncio.wait_for(
                     asyncio.wrap_future(self._run_planning(result)),
                     timeout=deadline - loop.time(),
@@ -1099,44 +1084,32 @@ class PlanningGateway:
         except asyncio.TimeoutError:
             self._metrics.bump("timeouts")
             if health_on and per_session:
-                self._resolve_degraded(
-                    item,
+                return self._degraded(
                     state,
                     "planning overran the deadline",
                     queue_ms,
                     plan_ms=(loop.time() - started) * 1000.0,
                 )
-                return
-            self._resolve(
-                item,
-                504,
-                error_payload("timeout", "planning overran the deadline"),
+            return (
+                504, error_payload("timeout", "planning overran the deadline"), {}
             )
-            return
         except PolicyDeniedError as exc:
             # A deny is an explicit policy verdict, never degraded over:
             # this arm must sit before the generic ReproError handler.
             if not per_session:
                 raise
             self._metrics.bump("policy_denied")
-            self._resolve(
-                item,
-                403,
-                error_payload("denied", str(exc), rule=exc.rule_id),
-            )
-            return
+            return 403, error_payload("denied", str(exc), rule=exc.rule_id), {}
         except ReproError:
             if per_session and view is not None:
                 # The masked catalog is what broke planning; that is a
                 # quality event, not a client error.
-                self._resolve_degraded(
-                    item,
+                return self._degraded(
                     state,
                     "quarantine left no plannable catalog",
                     queue_ms,
                     plan_ms=(loop.time() - started) * 1000.0,
                 )
-                return
             raise
         plan_ms = (loop.time() - started) * 1000.0
         floor_s = self._config.service_floor_ms / 1000.0
@@ -1144,17 +1117,16 @@ class PlanningGateway:
             pad = floor_s - (loop.time() - started)
             if pad > 0:
                 await asyncio.sleep(pad)
-        answer(item, state, result, view, queue_ms, plan_ms)
+        return answer(state, result, view, queue_ms, plan_ms)
 
     def _answer_plan(
         self,
-        item: _QueuedRequest,
         state: _GatewayState,
         result: Tuple,
         view: Optional[CatalogView],
         queue_ms: float,
         plan_ms: float,
-    ) -> None:
+    ) -> _Answer:
         """Shape a ``/plan`` result: policy skip, degraded, or planned."""
         plan, cache_hit, decision = result
         if decision is not None and decision.kind == "skip":
@@ -1163,30 +1135,24 @@ class PlanningGateway:
             # mirrors the path split.
             self._metrics.bump("policy_fast_path")
             self._metrics.satisfaction.observe(plan.result.satisfaction)
-            self._resolve(
-                item,
-                200,
-                policy_skip_payload(
-                    plan,
-                    cache_hit=cache_hit,
-                    generation=state.generation,
-                    policy_generation=self._policy.generation,
-                    queue_ms=queue_ms,
-                    plan_ms=plan_ms,
-                ),
+            payload = policy_skip_payload(
+                plan,
+                cache_hit=cache_hit,
+                generation=state.generation,
+                policy_generation=self._policy.generation,
+                queue_ms=queue_ms,
+                plan_ms=plan_ms,
             )
-            return
+            return 200, payload, {}
         if not plan.success and view is not None:
             # Feasible at full quality before the breaker trip, not
             # under quarantine: degrade rather than answer infeasible.
-            self._resolve_degraded(
-                item,
+            return self._degraded(
                 state,
                 "no feasible full-quality path outside quarantine",
                 queue_ms,
                 plan_ms=plan_ms,
             )
-            return
         self._metrics.bump("planned")
         if plan.success:
             self._metrics.satisfaction.observe(plan.result.satisfaction)
@@ -1203,17 +1169,16 @@ class PlanningGateway:
             self._metrics.bump("policy_tier_forced")
             payload["policy_rule"] = decision.rule_id
             payload["forced_tier"] = decision.tier
-        self._resolve(item, 200, payload)
+        return 200, payload, {}
 
     def _answer_group(
         self,
-        item: _QueuedRequest,
         state: _GatewayState,
         result: Tuple,
         view: Optional[CatalogView],
         queue_ms: float,
         plan_ms: float,
-    ) -> None:
+    ) -> _Answer:
         """Shape a ``/plan-group`` result: one shared tree, never degraded."""
         plan, cache_hit = result
         self._metrics.bump("groups")
@@ -1225,14 +1190,11 @@ class PlanningGateway:
         )
         for branch in plan.tree.branches:
             self._metrics.satisfaction.observe(branch.satisfaction)
-        self._resolve(
-            item,
-            200,
-            group_response_payload(
-                plan,
-                cache_hit=cache_hit,
-                generation=state.generation,
-                queue_ms=queue_ms,
-                plan_ms=plan_ms,
-            ),
+        payload = group_response_payload(
+            plan,
+            cache_hit=cache_hit,
+            generation=state.generation,
+            queue_ms=queue_ms,
+            plan_ms=plan_ms,
         )
+        return 200, payload, {}

@@ -491,6 +491,46 @@ class TestDrain:
         assert final["metrics"]["draining"] is True
         assert closed == b""
 
+    def test_drain_answers_queued_and_overrunning_requests_503(self):
+        # One slot, an 800 ms service floor and a 0.1 s grace: the first
+        # request is still planning when the grace ends, the other two
+        # never left the queue.  Every one of them is answered.
+        async def scenario():
+            gateway = PlanningGateway(
+                SCENARIO,
+                gateway_config(
+                    workers=1, service_floor_ms=800, drain_grace_s=0.1
+                ),
+            )
+            await gateway.start()
+            calls = [
+                asyncio.create_task(
+                    request(gateway.port, "POST", "/plan", {"deadline_ms": 5000})
+                )
+                for _ in range(3)
+            ]
+            for _ in range(200):
+                metrics = gateway.metrics_document()["metrics"]
+                if metrics["inflight"] == 1 and metrics["queue_depth"] == 2:
+                    break
+                await asyncio.sleep(0.01)
+            final = await gateway.drain()
+            answers = await asyncio.gather(*calls)
+            return answers, final["metrics"]
+
+        answers, metrics = asyncio.run(scenario())
+        assert [status for status, _, _ in answers] == [503, 503, 503]
+        assert all(payload["status"] == "draining" for _, payload, _ in answers)
+        queued = [
+            payload
+            for _, payload, _ in answers
+            if payload.get("detail") == "gateway drained before planning"
+        ]
+        assert len(queued) == 2
+        assert metrics["counters"]["rejected_draining"] == 2
+        assert metrics["queue_depth"] == 0
+        assert metrics["inflight"] == 0
+
     def test_request_drain_unblocks_run(self):
         async def scenario():
             gateway = PlanningGateway(SCENARIO, gateway_config())

@@ -2,7 +2,7 @@
 
 Covers the HTTP/1.1 codec (both directions share it, so these tests pin
 the framing contract), the admission machinery (token buckets, the rate
-limiter's bounded client table, the EDF deadline queue), the wire
+limiter's bounded client table, the EDF planning slots), the wire
 protocol decoder, and the fixed-bucket histogram.  Everything here is
 deterministic: clocks are injected, and the only event loop used is a
 throwaway ``asyncio.run`` per test (no pytest-asyncio in this repo).
@@ -193,56 +193,119 @@ class TestRateLimiter:
 
 
 class TestDeadlineQueue:
-    def test_pops_in_deadline_order(self):
-        async def scenario():
-            queue = DeadlineQueue(maxsize=8)
-            assert queue.try_put(3.0, "late")
-            assert queue.try_put(1.0, "early")
-            assert queue.try_put(2.0, "mid")
-            order = [await queue.get() for _ in range(3)]
-            return [item for _, item in order]
+    """Planning slots, granted earliest deadline first."""
 
-        assert asyncio.run(scenario()) == ["early", "mid", "late"]
+    def test_grants_in_deadline_order(self):
+        async def scenario():
+            queue = DeadlineQueue(maxsize=8, slots=1)
+            holder = queue.enter(0.0)
+            waiting = {
+                name: queue.enter(deadline)
+                for name, deadline in (("late", 3.0), ("early", 1.0), ("mid", 2.0))
+            }
+            order = []
+            for _ in waiting:
+                queue.leave()
+                order.extend(
+                    name
+                    for name, ticket in waiting.items()
+                    if ticket.done() and name not in order
+                )
+            return holder.result(), order
+
+        granted_at_once, order = asyncio.run(scenario())
+        assert granted_at_once is True
+        assert order == ["early", "mid", "late"]
 
     def test_full_queue_sheds(self):
         async def scenario():
-            queue = DeadlineQueue(maxsize=2)
-            assert queue.try_put(1.0, "a")
-            assert queue.try_put(2.0, "b")
-            return queue.try_put(3.0, "c")
+            queue = DeadlineQueue(maxsize=2, slots=1)
+            queue.enter(1.0)
+            queue.enter(2.0)
+            queue.enter(3.0)
+            return queue.enter(4.0), len(queue)
 
-        assert asyncio.run(scenario()) is False
+        shed, waiting = asyncio.run(scenario())
+        assert shed is None
+        assert waiting == 2
 
-    def test_get_waits_for_a_put(self):
+    def test_leave_hands_the_slot_to_one_waiter(self):
         async def scenario():
-            queue = DeadlineQueue(maxsize=2)
+            queue = DeadlineQueue(maxsize=8, slots=1)
+            queue.enter(0.0)
+            first = queue.enter(5.0)
+            queue.leave()
+            # The slot went to the waiter: a newcomer still waits.
+            second = queue.enter(1.0)
+            handed = first.result(), second.done()
+            queue.leave()
+            queue.leave()
+            # Nobody waits now: the slot is free for the next arrival.
+            return handed, second.result(), queue.enter(9.0).result()
 
-            async def producer():
-                await asyncio.sleep(0.01)
-                queue.try_put(1.0, "eventually")
+        handed, second, newcomer = asyncio.run(scenario())
+        assert handed == (True, False)
+        assert second is True
+        assert newcomer is True
 
-            task = asyncio.get_running_loop().create_task(producer())
-            deadline, item = await queue.get()
-            await task
-            return item
-
-        assert asyncio.run(scenario()) == "eventually"
-
-    def test_drain_pending_empties_in_deadline_order(self):
+    def test_drain_pending_turns_every_waiter_away(self):
         async def scenario():
-            queue = DeadlineQueue(maxsize=8)
-            queue.try_put(2.0, "b")
-            queue.try_put(1.0, "a")
-            drained = queue.drain_pending()
-            return drained, len(queue)
+            queue = DeadlineQueue(maxsize=8, slots=1)
+            holder = queue.enter(0.0)
+            waiting = [queue.enter(2.0), queue.enter(1.0)]
+            queue.drain_pending()
+            return holder.result(), [t.result() for t in waiting], len(queue)
 
-        drained, remaining = asyncio.run(scenario())
-        assert drained == ["a", "b"]
+        holder, waiting, remaining = asyncio.run(scenario())
+        assert holder is True
+        assert waiting == [False, False]
         assert remaining == 0
+
+    def test_leave_skips_a_cancelled_waiter(self):
+        async def scenario():
+            queue = DeadlineQueue(maxsize=8, slots=1)
+            queue.enter(0.0)
+            gone = queue.enter(1.0)
+            later = queue.enter(2.0)
+            gone.cancel()
+            queue.leave()
+            return later.result()
+
+        assert asyncio.run(scenario()) is True
+
+    def test_cancel_after_the_grant_gives_the_slot_back(self):
+        # The gateway's request task holds the slot from the grant on,
+        # even if it is cancelled before it resumes.
+        from repro.serve.gateway import GatewayConfig, PlanningGateway
+        from repro.serve.http11 import HttpRequest
+
+        scenario_ = generate_scenario(
+            SyntheticConfig(seed=7, n_services=10, n_formats=6, n_nodes=6)
+        )
+
+        async def scenario():
+            gateway = PlanningGateway(scenario_, GatewayConfig(port=0, workers=1))
+            queue = gateway._queue
+            queue.enter(0.0)
+            task = asyncio.get_running_loop().create_task(
+                gateway._admit_plan(
+                    HttpRequest("POST", "/plan", body=b"{}"), decode_plan_request
+                )
+            )
+            await asyncio.sleep(0)  # the request now waits for the slot
+            queue.leave()
+            task.cancel()
+            with pytest.raises(asyncio.CancelledError):
+                await task
+            return queue.enter(9.0).done()
+
+        assert asyncio.run(scenario()) is True
 
     def test_rejects_nonpositive_size(self):
         with pytest.raises(ValidationError):
-            DeadlineQueue(maxsize=0)
+            DeadlineQueue(maxsize=0, slots=1)
+        with pytest.raises(ValidationError):
+            DeadlineQueue(maxsize=1, slots=0)
 
 
 class TestPlanRequestDecoding:
