@@ -12,7 +12,6 @@ and shows capacity returning.
 
 from __future__ import annotations
 
-from repro.planner import PlanRequest
 from repro.sim.world import SimWorld
 from repro.workloads.paper import figure6_scenario
 
@@ -23,14 +22,7 @@ FLOOR = 0.10
 
 def fresh_world():
     scenario = figure6_scenario()
-    request = PlanRequest(
-        content=scenario.content,
-        device=scenario.device,
-        user=scenario.user,
-        sender_node=scenario.sender_node,
-        receiver_node=scenario.receiver_node,
-    )
-    return SimWorld(scenario), request
+    return SimWorld(scenario), scenario.request()
 
 
 def test_admission_until_saturation(benchmark, save_artifact):

@@ -23,7 +23,7 @@ import os
 import time
 
 from repro.group import GroupPlanner, GroupReceiver, GroupRequest
-from repro.planner import BatchPlanner, PlanRequest, device_variants
+from repro.planner import BatchPlanner, device_variants
 from repro.workloads.synthetic import SyntheticConfig, generate_scenario
 
 from conftest import format_table
@@ -63,16 +63,6 @@ def _group_request(scenario, sessions):
     )
 
 
-def _plan_request(scenario, request, receiver):
-    return PlanRequest(
-        content=request.content,
-        device=receiver.device,
-        user=request.user,
-        sender_node=request.sender_node,
-        receiver_node=request.receiver_node,
-        context=request.context,
-    )
-
 
 def _chain_bps(planner, result):
     return sum(
@@ -88,9 +78,7 @@ def _baseline(scenario, request):
     optimize_calls = 0
     satisfaction = {}
     for receiver in request.receivers:
-        session = planner.plan_uncached(
-            _plan_request(scenario, request, receiver)
-        )
+        session = planner.plan_uncached(scenario.request(receiver.device))
         result = session.result
         if not result.success:
             continue

@@ -22,7 +22,7 @@ import hashlib
 import os
 import time
 
-from repro.planner.batch import BatchPlanner, PlanRequest
+from repro.planner.batch import BatchPlanner
 from repro.planner.workload import device_variants
 from repro.policy.document import PolicyDocument, PolicyRule
 from repro.policy.engine import PolicyEngine
@@ -80,13 +80,7 @@ def _workload():
         else:
             devices.append(variant)
     requests = [
-        PlanRequest(
-            content=scenario.content,
-            device=devices[index % N_CLASSES],
-            user=scenario.user,
-            sender_node=scenario.sender_node,
-            receiver_node=scenario.receiver_node,
-        )
+        scenario.request(devices[index % N_CLASSES])
         for index in range(N_REQUESTS)
     ]
     planner = BatchPlanner.for_scenario(

@@ -22,6 +22,7 @@ from repro import (
     FormatRegistry,
     MediaType,
     NetworkTopology,
+    PlanRequest,
     UserProfile,
 )
 from repro.core.parameters import (
@@ -169,17 +170,14 @@ def main() -> None:
         budget=1.0,
     )
 
-    session = AdaptationSession(
-        registry=registry,
-        parameters=parameters,
-        catalog=catalog,
-        placement=placement,
+    request = PlanRequest(
         content=content,
         device=device,
         user=user,
         sender_node="origin",
         receiver_node="phone",
     )
+    session = AdaptationSession(registry, parameters, catalog, placement, request)
     plan = session.plan()
     print()
     print(f"pruning: {plan.pruning.summary()}")

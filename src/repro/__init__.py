@@ -60,7 +60,7 @@ from repro.profiles import (
     NetworkProfile,
     UserProfile,
 )
-from repro.runtime import AdaptationSession, DeliveryReport
+from repro.runtime import AdaptationSession, DeliveryReport, PlanRequest
 from repro.services import AdaptationChain, ServiceCatalog, ServiceDescriptor
 from repro.workloads import (
     Scenario,
@@ -114,6 +114,7 @@ __all__ = [
     # substrate & runtime
     "NetworkTopology",
     "ServicePlacement",
+    "PlanRequest",
     "AdaptationSession",
     "DeliveryReport",
     # workloads

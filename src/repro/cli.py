@@ -280,25 +280,16 @@ def cmd_plan_group(args: argparse.Namespace, out) -> int:
     print(f"elapsed:           {elapsed * 1000:.1f} ms", file=out)
     print(f"digest:            {tree.digest()}", file=out)
     if args.compare:
-        from repro.planner import BatchPlanner, PlanRequest
+        from repro.planner import BatchPlanner
 
         baseline = BatchPlanner.for_scenario(scenario)
         started = time.perf_counter()
         baseline_bps = 0.0
         baseline_calls = 0
         for receiver in receivers:
+            alone = scenario.request(receiver.device)
             for _ in range(receiver.sessions):
-                session = baseline.plan_uncached(
-                    PlanRequest(
-                        content=request.content,
-                        device=receiver.device,
-                        user=request.user,
-                        sender_node=request.sender_node,
-                        receiver_node=request.receiver_node,
-                        context=request.context,
-                    )
-                )
-                result = session.result
+                result = baseline.plan_uncached(alone).result
                 if result.success and result.stats is not None:
                     baseline_calls += result.stats.optimize_calls
                     baseline_bps += sum(

@@ -307,14 +307,16 @@ class RandomPathSelector(PathSelectorBase):
     it.  Deterministic for a fixed seed.
     """
 
-    def __init__(self, *args, seed: int = 0, max_attempts: int = 64, **kwargs) -> None:
+    #: Random walks tried before the selector reports failure.
+    MAX_ATTEMPTS = 64
+
+    def __init__(self, *args, seed: int = 0, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self._rng = random.Random(seed)
-        self._max_attempts = max_attempts
 
     def _find_path(self) -> Optional[List[Edge]]:
         graph = self._graph
-        for _ in range(self._max_attempts):
+        for _ in range(self.MAX_ATTEMPTS):
             edges: List[Edge] = []
             visited = {graph.sender_id}
             formats: Set[str] = set()

@@ -37,6 +37,9 @@ from repro.services.descriptor import ServiceDescriptor, ServiceKind
 
 __all__ = ["Vertex", "Edge", "AdaptationGraph", "AdaptationGraphBuilder", "CatalogView"]
 
+#: Input rate at which a host's CPU is checked against a service's need.
+REFERENCE_INPUT_BPS = 1e6
+
 
 @dataclass(frozen=True)
 class CatalogView:
@@ -328,12 +331,10 @@ class AdaptationGraphBuilder:
         catalog: ServiceCatalog,
         placement: ServicePlacement,
         check_resources: bool = True,
-        reference_input_bps: float = 1e6,
     ) -> None:
         self._catalog = catalog
         self._placement = placement
         self._check_resources = check_resources
-        self._reference_input_bps = reference_input_bps
 
     def build(
         self,
@@ -416,7 +417,7 @@ class AdaptationGraphBuilder:
     ) -> bool:
         node = topology.get_node(self._placement.node_of(descriptor.service_id))
         return (
-            descriptor.cpu_required(self._reference_input_bps) <= node.cpu_mips
+            descriptor.cpu_required(REFERENCE_INPUT_BPS) <= node.cpu_mips
             and descriptor.memory_mb <= node.memory_mb
         )
 

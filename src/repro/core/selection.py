@@ -481,13 +481,6 @@ class QoSPathSelector:
             ),
         )
 
-    def run_or_raise(self) -> SelectionResult:
-        """Like :meth:`run`, but FAILURE raises :class:`NoPathError`."""
-        result = self.run()
-        if not result.success:
-            raise NoPathError(result.failure_reason)
-        return result
-
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------

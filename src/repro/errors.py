@@ -18,8 +18,6 @@ __all__ = [
     "MonotonicityError",
     "GraphConstructionError",
     "NoPathError",
-    "InfeasibleConfigurationError",
-    "BudgetExceededError",
     "PlacementError",
     "ChainValidationError",
     "DiscoveryError",
@@ -106,14 +104,6 @@ class NoPathError(ReproError):
     settled, i.e. no chain of trans-coding services can deliver the content
     within the stated constraints.
     """
-
-
-class InfeasibleConfigurationError(ReproError):
-    """No parameter configuration satisfies the stated constraints."""
-
-
-class BudgetExceededError(ReproError):
-    """An operation would exceed the user's remaining monetary budget."""
 
 
 class PlacementError(ReproError):

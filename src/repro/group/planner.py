@@ -82,36 +82,18 @@ class GroupPlan:
 class GroupPlanner:
     """Plans shared adaptation trees through a generation-aware tree cache."""
 
-    def __init__(
-        self,
-        batch: BatchPlanner,
-        tree_cache: Optional[PlanCache] = None,
-    ) -> None:
+    def __init__(self, batch: BatchPlanner) -> None:
         self._batch = batch
-        self._tree_cache = (
-            tree_cache if tree_cache is not None else PlanCache(max_entries=256)
-        )
+        self._tree_cache = PlanCache(max_entries=256)
 
     @classmethod
-    def for_scenario(cls, scenario: "Scenario", **kwargs) -> "GroupPlanner":
-        """A group planner over a fresh batch planner for ``scenario``.
-
-        ``tree_cache`` is split off for this planner; every other keyword
-        goes to :meth:`BatchPlanner.for_scenario`.
-        """
-        tree_cache = kwargs.pop("tree_cache", None)
-        return cls(
-            BatchPlanner.for_scenario(scenario, **kwargs),
-            tree_cache=tree_cache,
-        )
+    def for_scenario(cls, scenario: "Scenario") -> "GroupPlanner":
+        """A group planner over a fresh batch planner for ``scenario``."""
+        return cls(BatchPlanner.for_scenario(scenario))
 
     @property
     def batch(self) -> BatchPlanner:
         return self._batch
-
-    @property
-    def tree_cache(self) -> PlanCache:
-        return self._tree_cache
 
     # ------------------------------------------------------------------
     # Fingerprinting

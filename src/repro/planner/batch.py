@@ -27,7 +27,6 @@ books the plan hop by hop.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.graph import CatalogView
@@ -42,11 +41,7 @@ from repro.planner.fingerprint import (
     PlanFingerprint,
     fingerprint_request,
 )
-from repro.profiles.content import ContentProfile
-from repro.profiles.context import ContextProfile
-from repro.profiles.device import DeviceProfile
-from repro.profiles.user import UserProfile
-from repro.runtime.session import AdaptationSession, SessionPlan
+from repro.runtime.session import AdaptationSession, PlanRequest, SessionPlan
 from repro.services.catalog import ServiceCatalog
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
@@ -58,19 +53,6 @@ __all__ = ["PlanAnswer", "PlanRequest", "BatchPlanner"]
 PlanAnswer = Tuple[
     Union[SessionPlan, PolicyPlan], bool, Optional[PolicyDecision]
 ]
-
-
-@dataclass(frozen=True)
-class PlanRequest:
-    """One session to plan: profiles plus endpoints."""
-
-    content: ContentProfile
-    device: DeviceProfile
-    user: UserProfile
-    sender_node: str
-    receiver_node: str
-    context: Optional[ContextProfile] = None
-    peer: Optional[str] = None
 
 
 class BatchPlanner:
@@ -153,18 +135,7 @@ class BatchPlanner:
     def fingerprint(
         self, request: PlanRequest, view: Optional[CatalogView] = None
     ) -> PlanFingerprint:
-        return fingerprint_request(
-            user=request.user,
-            content=request.content,
-            device=request.device,
-            sender_node=request.sender_node,
-            receiver_node=request.receiver_node,
-            catalog=self._catalog,
-            placement=self._placement,
-            view=view,
-            context=request.context,
-            peer=request.peer,
-        )
+        return fingerprint_request(request, self._catalog, self._placement, view)
 
     def plan_uncached(self, request: PlanRequest) -> SessionPlan:
         """Plan one session from scratch (no cache lookup or insert).
@@ -181,25 +152,19 @@ class BatchPlanner:
         optimize_memo: Optional[OptimizeMemo],
         view: Optional[CatalogView] = None,
     ) -> SessionPlan:
-        session = AdaptationSession(
-            registry=self._registry,
-            parameters=self._parameters,
-            catalog=self._catalog,
-            placement=self._placement,
-            content=request.content,
-            device=request.device,
-            user=request.user,
-            sender_node=request.sender_node,
-            receiver_node=request.receiver_node,
-            context=request.context,
+        return AdaptationSession(
+            self._registry,
+            self._parameters,
+            self._catalog,
+            self._placement,
+            request,
             # Batch plans carry no trace: a full SelectionTrace per plan is
             # the single largest allocation on the hot path, and the trace
             # is observability only (it never changes the plan).
             record_trace=False,
             optimize_memo=optimize_memo,
             view=view,
-        )
-        return session.plan(peer=request.peer)
+        ).plan()
 
     def plan(
         self, request: PlanRequest, view: Optional[CatalogView] = None

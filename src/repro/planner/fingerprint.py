@@ -3,9 +3,10 @@
 A fingerprint identifies everything the planning pipeline (graph
 construction → pruning → selection) consumes for one session:
 
-- the four request-side profiles (user, content, device, and optionally
-  context) via their ``cache_key()`` tuples;
-- the endpoints (sender / receiver node) and the peer;
+- the :class:`~repro.runtime.session.PlanRequest`: its four profiles
+  (user, content, device, and optionally context) via their
+  ``cache_key()`` tuples, its endpoints (sender / receiver node) and its
+  peer;
 - the *shared infrastructure state* via content keys plus monotonic
   generation counters of the service catalog, the topology and the
   placement;
@@ -46,10 +47,7 @@ from typing import Callable, Optional, Tuple
 from repro.core.graph import CatalogView
 from repro.network.placement import ServicePlacement
 from repro.network.topology import NetworkTopology
-from repro.profiles.content import ContentProfile
-from repro.profiles.context import ContextProfile
-from repro.profiles.device import DeviceProfile
-from repro.profiles.user import UserProfile
+from repro.runtime.session import PlanRequest
 from repro.services.catalog import ServiceCatalog
 
 __all__ = [
@@ -149,17 +147,10 @@ def _placement_key(placement: ServicePlacement) -> str:
 
 
 def fingerprint_request(
-    *,
-    user: UserProfile,
-    content: ContentProfile,
-    device: DeviceProfile,
-    sender_node: str,
-    receiver_node: str,
+    request: PlanRequest,
     catalog: ServiceCatalog,
     placement: ServicePlacement,
     view: Optional[CatalogView] = None,
-    context: Optional[ContextProfile] = None,
-    peer: Optional[str] = None,
 ) -> PlanFingerprint:
     """Fingerprint one planning request against the current world state.
 
@@ -176,14 +167,15 @@ def fingerprint_request(
         topology=placement.topology.generation,
         placement=placement.generation,
     )
+    context = request.context
     key = (
-        user.cache_key(),
-        content.cache_key(),
-        device.cache_key(),
+        request.user.cache_key(),
+        request.content.cache_key(),
+        request.device.cache_key(),
         context.cache_key() if context is not None else None,
-        sender_node,
-        receiver_node,
-        peer,
+        request.sender_node,
+        request.receiver_node,
+        request.peer,
         _catalog_key(catalog),
         _topology_key(
             view.topology

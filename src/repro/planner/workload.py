@@ -63,14 +63,4 @@ def synthetic_requests(
     cache hits are ``n_sessions - n_distinct`` under a stable topology.
     """
     variants = device_variants(scenario.device, n_distinct)
-    return [
-        PlanRequest(
-            content=scenario.content,
-            device=variants[i % n_distinct],
-            user=scenario.user,
-            sender_node=scenario.sender_node,
-            receiver_node=scenario.receiver_node,
-            context=scenario.context,
-        )
-        for i in range(n_sessions)
-    ]
+    return [scenario.request(variants[i % n_distinct]) for i in range(n_sessions)]

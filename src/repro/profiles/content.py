@@ -68,9 +68,6 @@ class ContentProfile:
         """The sender's output link labels (one per variant)."""
         return list(self._variants)
 
-    def has_format(self, format_name: str) -> bool:
-        return format_name in self._variants
-
     # ------------------------------------------------------------------
     # Identity (plan-cache fingerprints)
     # ------------------------------------------------------------------

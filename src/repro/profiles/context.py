@@ -7,14 +7,10 @@ organizational information (e.g. acting senior manager)", mirroring the
 MPEG-21 usage-environment tools (location, time, audio and illumination
 characteristics).
 
-Besides carrying the raw facts, the profile derives two algorithm-facing
-effects, the way a real adaptation engine would:
-
-- **parameter caps** — e.g. a "driving" activity caps video frame rate to
-  zero (eyes on the road), a dark environment caps useful color depth;
-- **preference weights** — e.g. a noisy environment devalues audio quality,
-  which a :class:`~repro.core.satisfaction.WeightedHarmonicCombiner` can
-  consume.
+Besides carrying the raw facts, the profile derives the algorithm-facing
+**parameter caps**, the way a real adaptation engine would: e.g. a
+"driving" activity caps video frame rate to zero (eyes on the road), a
+dark environment caps useful color depth.
 """
 
 from __future__ import annotations
@@ -104,29 +100,6 @@ class ContextProfile:
         if self.illumination_lux < 5.0:
             caps[COLOR_DEPTH] = 8.0
         return caps
-
-    def preference_weights(self) -> Dict[str, float]:
-        """Relative per-parameter weights implied by the context.
-
-        Returned weights default to 1.0 and shrink for senses the context
-        impairs: loud environments devalue audio, dim ones devalue video
-        detail.  Consumers feed these into a weighted combiner; an empty
-        adjustment set means equal weights (plain Equation 1).
-        """
-        weights: Dict[str, float] = {}
-        if self.noise_level_db > 75.0:
-            weights[AUDIO_QUALITY] = 0.25
-        elif self.noise_level_db > 60.0:
-            weights[AUDIO_QUALITY] = 0.5
-        if self.illumination_lux < 50.0:
-            weights[COLOR_DEPTH] = 0.5
-        return weights
-
-    def is_business_hours(self) -> bool:
-        """Whether the local time falls in 9..17 (unknown time: False)."""
-        if self.local_time_hour is None:
-            return False
-        return 9 <= self.local_time_hour <= 17
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

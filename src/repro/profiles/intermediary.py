@@ -61,13 +61,6 @@ class IntermediaryProfile:
     def hosts(self, service_id: str) -> bool:
         return any(d.service_id == service_id for d in self.services)
 
-    def can_run(self, descriptor: ServiceDescriptor, input_bps: float = 1e6) -> bool:
-        """Whether spare resources suffice to run one more instance."""
-        return (
-            descriptor.cpu_required(input_bps) <= self.available_cpu_mips
-            and descriptor.memory_mb <= self.available_memory_mb
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"IntermediaryProfile({self.node_id!r}, "

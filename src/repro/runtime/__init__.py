@@ -4,8 +4,11 @@ The paper's framework ends where the selected chain starts streaming; this
 package closes the loop so examples and benches can observe actual
 delivery:
 
-- :class:`~repro.runtime.session.AdaptationSession` — wires profiles →
-  graph construction → pruning → selection into one call and hands back a
+- :class:`~repro.runtime.session.PlanRequest` — one session's inputs:
+  the user, content, context and device profiles plus the sender and
+  receiver nodes (and an optional peer);
+- :class:`~repro.runtime.session.AdaptationSession` — wires one request
+  through graph construction → pruning → selection and hands back a
   plan;
 - :class:`~repro.runtime.pipeline.DeliveryPipeline` — streams the selected
   chain over the topology (per-hop transmission and processing latency,
@@ -18,13 +21,14 @@ delivery:
 from repro.runtime.events import Event, EventLog
 from repro.runtime.metrics import DeliveryReport
 from repro.runtime.pipeline import DeliveryPipeline
-from repro.runtime.session import AdaptationSession, SessionPlan
+from repro.runtime.session import AdaptationSession, PlanRequest, SessionPlan
 
 __all__ = [
     "Event",
     "EventLog",
     "DeliveryReport",
     "DeliveryPipeline",
+    "PlanRequest",
     "AdaptationSession",
     "SessionPlan",
 ]

@@ -11,7 +11,8 @@ story implies:
   model);
 - when the observed deliverable satisfaction falls below a threshold
   fraction of the plan, it re-snapshots the topology at current bandwidth
-  levels, re-plans through an :class:`AdaptationSession` over that
+  levels, re-plans through an
+  :class:`~repro.runtime.session.AdaptationSession` over that
   snapshot, and switches chains if the new plan is better;
 - the whole history lands in a :class:`ReplanReport` timeline.
 
@@ -31,7 +32,6 @@ from repro.errors import NoPathError, ValidationError
 from repro.network.bandwidth import BandwidthEstimator, FluctuationModel
 from repro.network.topology import NetworkTopology
 from repro.runtime.events import EventLog
-from repro.runtime.session import AdaptationSession
 from repro.workloads.scenario import Scenario
 
 __all__ = ["ReplanReport", "StreamSegment", "AdaptiveSession"]
@@ -145,18 +145,7 @@ class AdaptiveSession:
 
     def plan_at(self, time_s: float) -> SelectionResult:
         """Plan the scenario against the instant's bandwidths."""
-        scenario = self._scenario
-        return AdaptationSession(
-            registry=scenario.registry,
-            parameters=scenario.parameters,
-            catalog=scenario.catalog,
-            placement=scenario.placement,
-            content=scenario.content,
-            device=scenario.device,
-            user=scenario.user,
-            sender_node=scenario.sender_node,
-            receiver_node=scenario.receiver_node,
-            context=scenario.context,
+        return self._scenario.session(
             record_trace=False,
             view=CatalogView(topology=self.snapshot_topology(time_s)),
         ).plan().result

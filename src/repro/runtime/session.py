@@ -2,8 +2,9 @@
 
 An :class:`AdaptationSession` wires the paper's full pipeline together:
 
-1. take the six profiles (user, content, context, device, network — via
-   the topology — and the intermediaries — via catalog + placement);
+1. take one :class:`PlanRequest` (the user, content, context and device
+   profiles plus the sender and receiver nodes) against the shared
+   network and intermediaries (catalog + placement);
 2. construct the adaptation graph (Section 4.2);
 3. prune it (Section 4's optimization pass);
 4. run the QoS path-selection algorithm (Section 4.4);
@@ -44,7 +45,20 @@ from repro.runtime.pipeline import DeliveryPipeline
 from repro.services.catalog import ServiceCatalog
 from repro.services.chains import AdaptationChain
 
-__all__ = ["SessionPlan", "AdaptationSession"]
+__all__ = ["PlanRequest", "SessionPlan", "AdaptationSession"]
+
+
+@dataclass(frozen=True)
+class PlanRequest:
+    """One session to plan: profiles plus endpoints."""
+
+    content: ContentProfile
+    device: DeviceProfile
+    user: UserProfile
+    sender_node: str
+    receiver_node: str
+    context: Optional[ContextProfile] = None
+    peer: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -73,12 +87,8 @@ class AdaptationSession:
         parameters: ParameterSet,
         catalog: ServiceCatalog,
         placement: ServicePlacement,
-        content: ContentProfile,
-        device: DeviceProfile,
-        user: UserProfile,
-        sender_node: str,
-        receiver_node: str,
-        context: Optional[ContextProfile] = None,
+        request: PlanRequest,
+        *,
         prune: bool = True,
         record_trace: bool = True,
         optimize_memo=None,
@@ -88,12 +98,7 @@ class AdaptationSession:
         self._parameters = parameters
         self._catalog = catalog
         self._placement = placement
-        self._content = content
-        self._device = device
-        self._user = user
-        self._context = context
-        self._sender_node = sender_node
-        self._receiver_node = receiver_node
+        self._request = request
         self._prune = prune
         self._record_trace = record_trace
         #: Optional shared :class:`~repro.core.optimizer.OptimizeMemo`;
@@ -105,20 +110,23 @@ class AdaptationSession:
     # ------------------------------------------------------------------
     # Planning
     # ------------------------------------------------------------------
-    def plan(self, peer: Optional[str] = None) -> SessionPlan:
+    def plan(self) -> SessionPlan:
         """Run graph construction, pruning, and path selection.
 
         Always plans afresh; memoizing plans is
         :class:`~repro.planner.batch.BatchPlanner`'s job.
         """
+        request = self._request
         builder = AdaptationGraphBuilder(self._catalog, self._placement)
         graph = builder.build(
-            content=self._content,
-            device=self._device,
-            sender_node=self._sender_node,
-            receiver_node=self._receiver_node,
+            content=request.content,
+            device=request.device,
+            sender_node=request.sender_node,
+            receiver_node=request.receiver_node,
             context_caps=(
-                self._context.parameter_caps() if self._context is not None else None
+                request.context.parameter_caps()
+                if request.context is not None
+                else None
             ),
             view=self._view,
         )
@@ -135,8 +143,8 @@ class AdaptationSession:
             graph=graph,
             registry=self._registry,
             parameters=self._parameters,
-            user=self._user,
-            peer=peer,
+            user=request.user,
+            peer=request.peer,
             record_trace=self._record_trace,
             optimize_memo=self._optimize_memo,
         )
@@ -169,9 +177,9 @@ class AdaptationSession:
         return pipeline.stream(
             chain=plan.chain(),
             configuration=configuration,
-            score=self._user.satisfaction().score,
-            sender_node=self._sender_node,
-            receiver_node=self._receiver_node,
+            score=self._request.user.satisfaction().score,
+            sender_node=self._request.sender_node,
+            receiver_node=self._request.receiver_node,
             duration_s=duration_s,
             events=events,
         )

@@ -513,7 +513,6 @@ class ClusterSupervisor:
             port=self._port,
             worker_id=worker_id,
             cluster_size=self._cluster.workers,
-            private_port=0,
         )
         process = self._ctx.Process(
             target=_worker_main,
@@ -725,7 +724,6 @@ class ClusterSupervisor:
             reader,
             writer,
             self._dispatch_admin,
-            self._gateway_config.max_body_bytes,
             {},
             lambda _counter: None,
             self._admin_idle,

@@ -117,25 +117,22 @@ class GatewayConfig:
     cache_size: int = 4096
     #: Grace period for in-flight work at drain.
     drain_grace_s: float = 5.0
-    #: Cap on request bodies.
-    max_body_bytes: int = 1_048_576
     #: Test/bench knob: pad each successfully planned request to at least
     #: this service time, making saturation reproducible on any machine.
     service_floor_ms: float = 0.0
     #: This gateway's identity inside a worker cluster.  When set, the
     #: public listener binds with ``SO_REUSEPORT`` so sibling workers
-    #: share the port, every response carries an ``x-worker-id`` header
-    #: and hinted requests are metered as shard hits/misses.  ``None``
-    #: means standalone.
+    #: share the port, a second listener on an ephemeral per-worker
+    #: private port runs the same dispatch (the cluster supervisor
+    #: scrapes ``/metrics`` there and affinity-aware clients route hinted
+    #: requests to it, bypassing the kernel's shared-port balancing),
+    #: every response carries an ``x-worker-id`` header and hinted
+    #: requests are metered as shard hits/misses.  ``None`` means
+    #: standalone.
     worker_id: Optional[int] = None
     #: Total workers in the cluster this gateway belongs to (sizes the
     #: shard ring used for hit/miss accounting); 1 means standalone.
     cluster_size: int = 1
-    #: When not ``None``, also listen on this per-worker private port
-    #: (0 = ephemeral).  The cluster supervisor scrapes ``/metrics`` and
-    #: affinity-aware clients route hinted requests here, bypassing the
-    #: kernel's shared-port balancing.
-    private_port: Optional[int] = None
     #: When set, enables the per-service failure detector and circuit
     #: breakers (:mod:`repro.serve.health`): ``POST /report`` feeds
     #: outcomes, OPEN services are masked from planning through a
@@ -205,7 +202,6 @@ async def serve_connection(
     reader: asyncio.StreamReader,
     writer: asyncio.StreamWriter,
     dispatch: Callable[[HttpRequest], Awaitable[_Answer]],
-    max_body: int,
     extra_headers: Mapping[str, str],
     bump: Callable[[str], None],
     idle: Set[asyncio.StreamWriter],
@@ -227,7 +223,7 @@ async def serve_connection(
         while True:
             idle.add(writer)
             try:
-                request = await read_request(reader, max_body=max_body)
+                request = await read_request(reader)
             except GatewayProtocolError as exc:
                 bump("protocol_errors")
                 writer.write(
@@ -408,7 +404,7 @@ class PlanningGateway:
 
     @property
     def private_port(self) -> Optional[int]:
-        """The bound per-worker private port (``None`` unless configured)."""
+        """The bound per-worker private port (``None`` when standalone)."""
         return self._private_port_bound
 
     @property
@@ -519,9 +515,9 @@ class PlanningGateway:
 
         A cluster worker (``config.worker_id`` set) binds its own
         ``SO_REUSEPORT`` socket to the shared ``(host, port)``, letting
-        the kernel spread accepts across sibling workers.  A configured
-        ``private_port`` brings up a second listener running the same
-        dispatch — the per-worker address used for metrics scraping and
+        the kernel spread accepts across sibling workers, and brings up a
+        second listener on an ephemeral port running the same dispatch —
+        the per-worker address used for metrics scraping and
         shard-affinity routing.
         """
         if self._server is not None:
@@ -535,6 +531,12 @@ class PlanningGateway:
                 self._on_connection,
                 sock=bind_reuseport(self._config.host, self._config.port),
             )
+            self._private_server = await asyncio.start_server(
+                self._on_connection, host=self._config.host, port=0
+            )
+            self._private_port_bound = (
+                self._private_server.sockets[0].getsockname()[1]
+            )
         else:
             self._server = await asyncio.start_server(
                 self._on_connection,
@@ -542,15 +544,6 @@ class PlanningGateway:
                 port=self._config.port,
             )
         self._port = self._server.sockets[0].getsockname()[1]
-        if self._config.private_port is not None:
-            self._private_server = await asyncio.start_server(
-                self._on_connection,
-                host=self._config.host,
-                port=self._config.private_port,
-            )
-            self._private_port_bound = (
-                self._private_server.sockets[0].getsockname()[1]
-            )
 
     def request_drain(self) -> None:
         """Ask :meth:`run` to drain; safe to call from a signal handler."""
@@ -725,7 +718,6 @@ class PlanningGateway:
                 reader,
                 writer,
                 self._dispatch,
-                self._config.max_body_bytes,
                 self._identity_headers,
                 self._metrics.bump,
                 self._idle_writers,

@@ -34,7 +34,8 @@ __all__ = [
 MAX_LINE_BYTES = 8192
 #: Cap on the number of header lines per message.
 MAX_HEADERS = 64
-#: Default cap on message bodies (the gateway overrides per config).
+#: Cap on message bodies; every gateway and cluster admin listener
+#: answers a larger request 400.
 MAX_BODY_BYTES = 1_048_576
 
 _REASONS = {

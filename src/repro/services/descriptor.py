@@ -179,11 +179,6 @@ class ServiceDescriptor:
         """Whether ``format_name`` is one of this service's output links."""
         return format_name in self.output_formats
 
-    def can_follow(self, upstream: "ServiceDescriptor") -> bool:
-        """Whether any output of ``upstream`` matches an input of this
-        service (the edge-existence test of Section 4.2)."""
-        return any(self.accepts(fmt) for fmt in upstream.output_formats)
-
     def matching_formats(self, upstream: "ServiceDescriptor") -> Tuple[str, ...]:
         """All formats on which ``upstream`` can feed this service."""
         return tuple(f for f in upstream.output_formats if self.accepts(f))

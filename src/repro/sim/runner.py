@@ -119,15 +119,9 @@ class SimulationRun:
     # Population
     # ------------------------------------------------------------------
     def _next_request(self) -> PlanRequest:
-        scenario = self.config.scenario
         index = next(self._request_index)
-        return PlanRequest(
-            content=scenario.content,
-            device=self._variants[index % len(self._variants)],
-            user=scenario.user,
-            sender_node=scenario.sender_node,
-            receiver_node=scenario.receiver_node,
-            context=scenario.context,
+        return self.config.scenario.request(
+            self._variants[index % len(self._variants)]
         )
 
     def _next_duration(self) -> float:

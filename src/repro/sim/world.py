@@ -9,7 +9,7 @@ A :class:`SimWorld` owns everything the concurrent sessions contend over:
   virtual clock advances;
 - the **bandwidth ledger**: every admitted session's reservations, so
   later admissions plan against what is actually left;
-- one shared :class:`~repro.core.optimizer.OptimizeMemo`, so the
+- its planner's one :class:`~repro.core.optimizer.OptimizeMemo`, so the
   thousands of plans and replans a run performs reuse each other's solved
   relaxations exactly as a :class:`~repro.planner.batch.BatchPlanner`
   batch would.
@@ -34,7 +34,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.configuration import fits_within
 from repro.core.graph import CatalogView
-from repro.core.optimizer import OptimizeMemo
 from repro.errors import ReproError, ValidationError
 from repro.network.placement import ENDPOINT_IDS
 from repro.network.reservations import BandwidthLedger, Reservation
@@ -70,19 +69,12 @@ class Admission:
 class SimWorld:
     """Fault overlay + reservations + residual planning over one scenario."""
 
-    def __init__(
-        self,
-        scenario: Scenario,
-        optimize_memo: Optional[OptimizeMemo] = None,
-        plan_cache_size: int = 256,
-        seed: int = 0,
-    ) -> None:
+    def __init__(self, scenario: Scenario, seed: int = 0) -> None:
         self.scenario = scenario
         self.ledger = BandwidthLedger(scenario.topology)
         self._factors: Dict[Tuple[str, str], float] = {}
         self._down_nodes: Set[str] = set()
         self._down_services: Set[str] = set()
-        self._memo = optimize_memo if optimize_memo is not None else OptimizeMemo()
         self._generation = 0
         self._view: Optional[CatalogView] = None
         self._view_key: Optional[Tuple[int, int, int, frozenset]] = None
@@ -96,26 +88,15 @@ class SimWorld:
         # One policy engine for the whole run (when the scenario carries a
         # policy document): its decision cache spans view changes,
         # mirroring how the gateway keeps one engine across reloads.
-        self._policy_engine: Optional[PolicyEngine] = (
-            PolicyEngine(scenario.policy)
-            if scenario.policy is not None
-            else None
-        )
         self._planner = BatchPlanner.for_scenario(
             scenario,
-            cache=PlanCache(max_entries=plan_cache_size),
-            max_workers=1,
-            optimize_memo=self._memo,
-            policy_engine=self._policy_engine,
+            cache=PlanCache(max_entries=256),
+            policy_engine=(
+                PolicyEngine(scenario.policy)
+                if scenario.policy is not None
+                else None
+            ),
         )
-
-    @property
-    def policy_engine(self) -> Optional[PolicyEngine]:
-        return self._policy_engine
-
-    @property
-    def optimize_memo(self) -> OptimizeMemo:
-        return self._memo
 
     @property
     def generation(self) -> int:

@@ -13,7 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.core.graph import AdaptationGraph, AdaptationGraphBuilder
+from repro.core.graph import (
+    AdaptationGraph,
+    AdaptationGraphBuilder,
+    CatalogView,
+)
 from repro.core.parameters import ParameterSet
 from repro.core.selection import QoSPathSelector, SelectionResult, TieBreakPolicy
 from repro.formats.registry import FormatRegistry
@@ -24,7 +28,7 @@ from repro.profiles.content import ContentProfile
 from repro.profiles.context import ContextProfile
 from repro.profiles.device import DeviceProfile
 from repro.profiles.user import UserProfile
-from repro.runtime.session import AdaptationSession
+from repro.runtime.session import AdaptationSession, PlanRequest
 from repro.services.catalog import ServiceCatalog
 
 __all__ = ["Scenario"]
@@ -89,18 +93,31 @@ class Scenario:
         """Build the graph and run the selector in one step."""
         return self.selector(**kwargs).run()
 
-    def session(self, prune: bool = True) -> AdaptationSession:
-        """A full runtime session over this scenario."""
-        return AdaptationSession(
-            registry=self.registry,
-            parameters=self.parameters,
-            catalog=self.catalog,
-            placement=self.placement,
+    def request(self, device: Optional[DeviceProfile] = None) -> PlanRequest:
+        """This scenario's planning request, optionally for another device."""
+        return PlanRequest(
             content=self.content,
-            device=self.device,
+            device=device if device is not None else self.device,
             user=self.user,
             sender_node=self.sender_node,
             receiver_node=self.receiver_node,
             context=self.context,
+        )
+
+    def session(
+        self,
+        prune: bool = True,
+        record_trace: bool = True,
+        view: Optional[CatalogView] = None,
+    ) -> AdaptationSession:
+        """A full runtime session over this scenario's request."""
+        return AdaptationSession(
+            self.registry,
+            self.parameters,
+            self.catalog,
+            self.placement,
+            self.request(),
             prune=prune,
+            record_trace=record_trace,
+            view=view,
         )

@@ -9,7 +9,6 @@ import pytest
 from repro.errors import ValidationError
 from repro.network.reservations import BandwidthLedger
 from repro.network.topology import NetworkTopology
-from repro.planner import PlanRequest
 from repro.sim.arrivals import UniformArrivals
 from repro.sim.runner import SimulationConfig, SimulationRun
 from repro.sim.world import SimWorld
@@ -153,14 +152,7 @@ class TestAdmissionOnFigure6:
 
     def _world(self):
         scenario = figure6_scenario()
-        request = PlanRequest(
-            content=scenario.content,
-            device=scenario.device,
-            user=scenario.user,
-            sender_node=scenario.sender_node,
-            receiver_node=scenario.receiver_node,
-        )
-        return SimWorld(scenario), request
+        return SimWorld(scenario), scenario.request()
 
     def test_first_admission_matches_the_paper(self):
         world, request = self._world()

@@ -12,7 +12,6 @@ from repro.cli import main
 from repro.core.graph import CatalogView
 from repro.errors import PolicyDeniedError
 from repro.planner import BatchPlanner, PlanCache, synthetic_requests
-from repro.planner.batch import PlanRequest
 from repro.planner.workload import device_variants
 from repro.policy import Decodes, DeviceIn, PolicyDocument, PolicyEngine, PolicyRule
 from repro.profiles.device import DeviceProfile
@@ -95,18 +94,13 @@ def test_batch_traces_default_off_with_explicit_opt_in():
 
     def session_plan(request, record_trace):
         return AdaptationSession(
-            registry=scenario.registry,
-            parameters=scenario.parameters,
-            catalog=scenario.catalog,
-            placement=scenario.placement,
-            content=request.content,
-            device=request.device,
-            user=request.user,
-            sender_node=request.sender_node,
-            receiver_node=request.receiver_node,
-            context=request.context,
+            scenario.registry,
+            scenario.parameters,
+            scenario.catalog,
+            scenario.placement,
+            request,
             record_trace=record_trace,
-        ).plan(peer=request.peer)
+        ).plan()
 
     def bare(result):
         return result.__class__(**{**result.__dict__, "trace": None, "stats": None})
@@ -204,13 +198,6 @@ def _policy_planner(scenario, cache_size=4):
     )
 
 
-def _request(scenario, device):
-    return PlanRequest(
-        content=scenario.content, device=device, user=scenario.user,
-        sender_node=scenario.sender_node, receiver_node=scenario.receiver_node,
-    )
-
-
 def _answer_or_denial(plan_call, planner, request, view):
     try:
         plan, hit, decision = plan_call(planner, request, view)
@@ -228,7 +215,7 @@ def test_probe_then_finish_matches_one_step_planning():
     rng = random.Random(11)
     stream = [
         (
-            _request(scenario, rng.choice(devices)),
+            scenario.request(rng.choice(devices)),
             masked if rng.random() < 0.25 else None,
         )
         for _ in range(120)
@@ -264,7 +251,7 @@ def test_probe_then_finish_matches_one_step_planning():
 def test_probe_answers_hits_and_leaves_misses_to_the_caller():
     scenario, devices = _policy_world()
     planner = _policy_planner(scenario)
-    request = _request(scenario, devices[2])
+    request = scenario.request(devices[2])
     select = planner.probe(request)
     assert callable(select)
     assert planner.cache.stats.lookups == 0  # nothing counted until it runs
@@ -273,7 +260,7 @@ def test_probe_answers_hits_and_leaves_misses_to_the_caller():
     assert planner.probe(request) == (plan, True, None)
     assert (planner.cache.stats.hits, planner.cache.stats.misses) == (1, 1)
     with pytest.raises(PolicyDeniedError):
-        planner.probe(_request(scenario, devices[-1]))
+        planner.probe(scenario.request(devices[-1]))
 
 
 class _EvictAfterProbe(PlanCache):
@@ -294,7 +281,7 @@ def test_entry_evicted_after_the_probe_computes_on_the_calling_thread(
         scenario, cache=_EvictAfterProbe(),
         policy_engine=PolicyEngine(scenario.policy), max_workers=1,
     )
-    request = _request(scenario, devices[2])
+    request = scenario.request(devices[2])
     first, _hit, _decision = planner.plan_with_policy_info(request)
     computed_on = []
     session_plan = AdaptationSession.plan

@@ -149,7 +149,6 @@ class TestStaleStateAcrossLayers:
         from repro.formats.variants import ContentVariant
         from repro.profiles.content import ContentProfile
         from repro.profiles.device import DeviceProfile
-        from repro.planner import PlanRequest
         from repro.profiles.user import UserProfile
         from repro.services.catalog import ServiceCatalog
         from repro.sim.world import SimWorld
@@ -216,7 +215,7 @@ class TestStaleStateAcrossLayers:
                 receiver_node="ns",
             )
         )
-        request = PlanRequest(content, device, user, "ns", "ns")
+        request = world.scenario.request()
         plan = world.plan(request)
         assert plan is not None
         # Each hop fits the link alone, so planning succeeds; the second

@@ -11,6 +11,8 @@ Two requirements back the plan cache (ISSUE: plan-cache key integrity):
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.satisfaction import (
@@ -30,19 +32,9 @@ from repro.services.descriptor import ServiceDescriptor
 from repro.workloads.synthetic import SyntheticConfig, generate_scenario
 
 
-def _fingerprint(scenario, **overrides):
-    kwargs = dict(
-        user=scenario.user,
-        content=scenario.content,
-        device=scenario.device,
-        sender_node=scenario.sender_node,
-        receiver_node=scenario.receiver_node,
-        catalog=scenario.catalog,
-        placement=scenario.placement,
-        context=scenario.context,
-    )
-    kwargs.update(overrides)
-    return fingerprint_request(**kwargs)
+def _fingerprint(scenario, view=None, **overrides):
+    request = replace(scenario.request(), **overrides)
+    return fingerprint_request(request, scenario.catalog, scenario.placement, view)
 
 
 def _user(**overrides) -> UserProfile:
@@ -228,7 +220,7 @@ def test_reservation_changes_fingerprint_of_residual_view_request():
 def test_variant_assignment_order_changes_fingerprint():
     """The optimizer breaks degrade-order ties by assignment order, so the
     same variant values assigned in another order key another plan."""
-    from repro.planner import BatchPlanner, PlanRequest
+    from repro.planner import BatchPlanner
     from repro.profiles.content import ContentProfile
     from repro.workloads.paper import figure6_scenario
 
@@ -250,13 +242,7 @@ def test_variant_assignment_order_changes_fingerprint():
     assert reordered.cache_key() != variant.cache_key()
 
     def request(content):
-        return PlanRequest(
-            content=content,
-            device=scenario.device,
-            user=scenario.user,
-            sender_node=scenario.sender_node,
-            receiver_node=scenario.receiver_node,
-        )
+        return replace(scenario.request(), content=content)
 
     content = scenario.content
     planner = BatchPlanner.for_scenario(scenario)

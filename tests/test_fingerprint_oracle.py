@@ -23,7 +23,7 @@ from repro.core.graph import CatalogView
 from repro.core.parameters import FRAME_RATE
 from repro.core.satisfaction import LinearSatisfaction
 from repro.network.reservations import BandwidthLedger
-from repro.planner import fingerprint_request
+from repro.planner import PlanRequest, fingerprint_request
 from repro.profiles.device import DeviceProfile
 from repro.profiles.user import UserProfile
 from repro.services.descriptor import ServiceDescriptor
@@ -173,7 +173,20 @@ def test_digests_equal_exactly_when_reference_keys_are(seed, steps):
         for world in worlds:
             for request in world.requests():
                 key = reference_key(**request)
-                digest = fingerprint_request(**request).digest
+                digest = fingerprint_request(
+                    PlanRequest(
+                        content=request["content"],
+                        device=request["device"],
+                        user=request["user"],
+                        sender_node=request["sender_node"],
+                        receiver_node=request["receiver_node"],
+                        context=request["context"],
+                        peer=request.get("peer"),
+                    ),
+                    request["catalog"],
+                    request["placement"],
+                    request["view"],
+                ).digest
                 digests_of.setdefault(key, set()).add(digest)
                 keys_of.setdefault(digest, set()).add(key)
 

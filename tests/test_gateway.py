@@ -744,9 +744,7 @@ class TestWorkerIdentity:
             metrics = await request(gateway.private_port, "GET", "/metrics")
             return plan, metrics
 
-        plan, metrics = run_against_gateway(
-            scenario, worker_id=0, cluster_size=2, private_port=0
-        )
+        plan, metrics = run_against_gateway(scenario, worker_id=0, cluster_size=2)
         assert plan[0] == 200
         assert metrics[0] == 200
         assert metrics[1]["metrics"]["worker_id"] == 0

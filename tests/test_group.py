@@ -20,7 +20,7 @@ from repro.group import (
     build_shared_tree,
 )
 from repro.network.reservations import BandwidthLedger
-from repro.planner import BatchPlanner, PlanRequest, device_variants
+from repro.planner import BatchPlanner, device_variants
 from repro.profiles.device import DeviceProfile
 from repro.workloads.synthetic import SyntheticConfig, generate_scenario
 
@@ -53,17 +53,8 @@ def _request(scenario, receivers) -> GroupRequest:
     )
 
 
-def _standalone(scenario, planner: BatchPlanner, request, receiver):
-    return planner.plan_uncached(
-        PlanRequest(
-            content=request.content,
-            device=receiver.device,
-            user=request.user,
-            sender_node=request.sender_node,
-            receiver_node=request.receiver_node,
-            context=request.context,
-        )
-    ).result
+def _standalone(scenario, planner: BatchPlanner, receiver):
+    return planner.plan_uncached(scenario.request(receiver.device)).result
 
 
 def _brick(device_id: str = "brick") -> DeviceProfile:
@@ -135,7 +126,7 @@ class TestSharedTree:
             ),
         )
         results = {
-            r.class_id: _standalone(scenario, planner, request, r)
+            r.class_id: _standalone(scenario, planner, r)
             for r in request.receivers
         }
         assert all(result.success for result in results.values())
@@ -160,7 +151,7 @@ class TestSharedTree:
             ),
         )
         results = {
-            r.class_id: _standalone(scenario, planner, request, r)
+            r.class_id: _standalone(scenario, planner, r)
             for r in request.receivers
         }
         sessions = {r.class_id: 1 for r in request.receivers}
@@ -247,7 +238,7 @@ def test_branches_equal_standalone_optimal(
     branches = {branch.class_id: branch for branch in plan.tree.branches}
     fallbacks = dict(plan.tree.fallbacks)
     for receiver in request.receivers:
-        standalone = _standalone(scenario, baseline, request, receiver)
+        standalone = _standalone(scenario, baseline, receiver)
         if standalone.success:
             branch = branches[receiver.class_id]
             assert branch.result.path == standalone.path

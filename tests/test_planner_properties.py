@@ -25,7 +25,7 @@ from repro.errors import ReproError
 from repro.network.placement import ServicePlacement
 from repro.network.reservations import BandwidthLedger
 from repro.network.topology import NetworkTopology
-from repro.planner import BatchPlanner, PlanCache, PlanRequest
+from repro.planner import BatchPlanner, PlanCache
 from repro.policy import PolicyDocument, PolicyEngine, PolicyRule
 from repro.services.catalog import ServiceCatalog
 from repro.services.descriptor import ServiceDescriptor
@@ -47,17 +47,6 @@ MUTATIONS = [
 def _scenario(seed: int):
     return generate_scenario(
         SyntheticConfig(seed=seed, n_services=10, n_formats=6, n_nodes=6)
-    )
-
-
-def _request(scenario) -> PlanRequest:
-    return PlanRequest(
-        content=scenario.content,
-        device=scenario.device,
-        user=scenario.user,
-        sender_node=scenario.sender_node,
-        receiver_node=scenario.receiver_node,
-        context=scenario.context,
     )
 
 
@@ -108,7 +97,7 @@ def _plan_fields(plan):
 def test_cached_plan_equals_fresh_plan(seed):
     scenario = _scenario(seed)
     planner = BatchPlanner.for_scenario(scenario, cache=PlanCache())
-    request = _request(scenario)
+    request = scenario.request()
     cached = planner.plan(request)
     fresh = planner.plan_uncached(request)
     assert _plan_fields(cached) == _plan_fields(fresh)
@@ -124,7 +113,7 @@ def test_mutation_between_calls_forces_recompute(seed, mutation):
     ledger = BandwidthLedger(scenario.topology)
     cache = PlanCache()
     planner = BatchPlanner.for_scenario(scenario, cache=cache)
-    request = _request(scenario)
+    request = scenario.request()
     # Reservations reach planning only through a view on the residual.
     view = (
         CatalogView(topology=ledger.residual_topology())
@@ -258,7 +247,7 @@ def test_view_plans_equal_filtered_catalog_plans(name, tier, factor, data):
         scenario, cache=PlanCache(), policy_engine=_force_tier(tier)
     )
     reference = _reference_planner(scenario, excluded, tier, topology)
-    request = _request(scenario)
+    request = scenario.request()
 
     viewed = _outcome(lambda: planner.plan(request, view))
     assert viewed == _outcome(lambda: reference.plan(request))
@@ -284,7 +273,7 @@ def test_view_fingerprints_separate_exactly_the_unequal_views(name, factors, dat
         for mask, f in zip(masks, factors)
     ]
     planner = BatchPlanner.for_scenario(scenario, cache=PlanCache())
-    request = _request(scenario)
+    request = scenario.request()
     same = masks[0] == masks[1] and factors[0] == factors[1]
     first, second = (planner.fingerprint(request, view) for view in views)
     assert (first == second) == same

@@ -15,7 +15,7 @@ from repro.errors import PolicyDeniedError, ValidationError
 from repro.formats.format import MediaType
 from repro.formats.registry import FormatRegistry
 from repro.formats.variants import ContentVariant
-from repro.planner.batch import BatchPlanner, PlanRequest
+from repro.planner.batch import BatchPlanner
 from repro.policy import (
     ACTIONS,
     BitrateUnder,
@@ -39,16 +39,6 @@ SCENARIO = generate_scenario(
                     hw_tier_fraction=0.5)
 )
 SOURCE = SCENARIO.content.format_names()[0]
-
-
-def _request(device=None):
-    return PlanRequest(
-        content=SCENARIO.content,
-        device=device if device is not None else SCENARIO.device,
-        user=SCENARIO.user,
-        sender_node=SCENARIO.sender_node,
-        receiver_node=SCENARIO.receiver_node,
-    )
 
 
 def _compatible_device(device_id="compat"):
@@ -193,7 +183,7 @@ class TestServiceTiers:
 
 class TestPolicyEngine:
     def test_no_document_is_no_decision(self):
-        decision = PolicyEngine().evaluate(_request())
+        decision = PolicyEngine().evaluate(SCENARIO.request())
         assert decision.kind == "none"
 
     def test_deny_rule_fires_and_raises(self):
@@ -202,7 +192,7 @@ class TestPolicyEngine:
             rules=(PolicyRule(rule_id="block", action="deny",
                               reason="not allowed"),),
         )
-        decision = PolicyEngine(document).evaluate(_request())
+        decision = PolicyEngine(document).evaluate(SCENARIO.request())
         assert decision.kind == "deny"
         assert decision.rule_id == "block"
         with pytest.raises(PolicyDeniedError) as excinfo:
@@ -217,7 +207,7 @@ class TestPolicyEngine:
                               predicates=(Decodes(SOURCE),)),),
         )
         engine = PolicyEngine(document)
-        decision = engine.evaluate(_request(_compatible_device()))
+        decision = engine.evaluate(SCENARIO.request(_compatible_device()))
         assert decision.kind == "skip"
         plan = decision.plan
         assert isinstance(plan, PolicyPlan)
@@ -237,7 +227,7 @@ class TestPolicyEngine:
         document = PolicyDocument(
             name="d", rules=(PolicyRule(rule_id="always", action="skip"),)
         )
-        decision = PolicyEngine(document).evaluate(_request())
+        decision = PolicyEngine(document).evaluate(SCENARIO.request())
         assert decision.kind == "none"
 
     def test_force_tier_decision(self):
@@ -246,7 +236,7 @@ class TestPolicyEngine:
             rules=(PolicyRule(rule_id="pin", action="force_tier",
                               tier="hw"),),
         )
-        decision = PolicyEngine(document).evaluate(_request())
+        decision = PolicyEngine(document).evaluate(SCENARIO.request())
         assert decision.kind == "force_tier"
         assert decision.tier == "hw"
 
@@ -257,7 +247,7 @@ class TestPolicyEngine:
                               predicates=(Decodes(SOURCE),)),),
         )
         engine = PolicyEngine(document)
-        request = _request(_compatible_device())
+        request = SCENARIO.request(_compatible_device())
         first = engine.evaluate(request)
         second = engine.evaluate(request)
         assert first.cached is False
@@ -276,13 +266,13 @@ class TestPolicyEngine:
                               predicates=(Decodes(SOURCE),)),),
         )
         engine = PolicyEngine(document)
-        engine.evaluate(_request(_compatible_device()))
+        engine.evaluate(SCENARIO.request(_compatible_device()))
         assert engine.stats()["cache_entries"] == 1
         invalidated = engine.swap(PolicyDocument(name="empty"))
         assert invalidated == 1
         assert engine.generation == 1
         assert engine.stats()["cache_entries"] == 0
-        assert engine.evaluate(_request(_compatible_device())).kind == "none"
+        assert engine.evaluate(SCENARIO.request(_compatible_device())).kind == "none"
 
     def test_cache_bounded_by_clear_on_overflow(self):
         document = PolicyDocument(
@@ -290,7 +280,7 @@ class TestPolicyEngine:
         )
         engine = PolicyEngine(document, cache_size=2)
         for index in range(5):
-            engine.evaluate(_request(_compatible_device(f"dev-{index}")))
+            engine.evaluate(SCENARIO.request(_compatible_device(f"dev-{index}")))
         assert engine.stats()["cache_entries"] <= 2
 
 
@@ -308,7 +298,7 @@ class TestPolicyAwarePlanner:
                                   predicates=(Decodes(SOURCE),)),),
             )
         )
-        request = _request(_compatible_device())
+        request = SCENARIO.request(_compatible_device())
         plan, hit, decision = planner.plan_with_policy_info(request)
         assert isinstance(plan, PolicyPlan)
         assert decision.kind == "skip"
@@ -324,7 +314,7 @@ class TestPolicyAwarePlanner:
             )
         )
         with pytest.raises(PolicyDeniedError):
-            planner.plan(_request())
+            planner.plan(SCENARIO.request())
 
     def test_force_tier_plans_against_a_filtered_catalog(self):
         planner = self._planner(
@@ -334,7 +324,7 @@ class TestPolicyAwarePlanner:
                                   tier="hw"),),
             )
         )
-        plan, _hit, decision = planner.plan_with_policy_info(_request())
+        plan, _hit, decision = planner.plan_with_policy_info(SCENARIO.request())
         assert decision.kind == "force_tier"
         intermediaries = [
             sid for sid in plan.result.path
@@ -351,7 +341,7 @@ class TestPolicyAwarePlanner:
                                   predicates=(Decodes(SOURCE),)),),
             )
         )
-        plan, _hit, decision = planner.plan_with_policy_info(_request())
+        plan, _hit, decision = planner.plan_with_policy_info(SCENARIO.request())
         assert decision is None
         assert not isinstance(plan, PolicyPlan)
         assert plan.success

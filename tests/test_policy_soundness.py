@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
 
-from repro.planner.batch import PlanRequest
 from repro.policy import Decodes, PolicyDocument, PolicyRule, PolicyEngine
 from repro.profiles.device import DeviceProfile
 from repro.workloads.synthetic import SyntheticConfig, generate_scenario
@@ -38,16 +37,6 @@ def _world(seed, add_source_decoder):
             max_frame_rate=base.max_frame_rate,
         )
     return scenario, source
-
-
-def _request(scenario):
-    return PlanRequest(
-        content=scenario.content,
-        device=scenario.device,
-        user=scenario.user,
-        sender_node=scenario.sender_node,
-        receiver_node=scenario.receiver_node,
-    )
 
 
 def _assert_sound(scenario, decision, tolerance):
@@ -87,7 +76,7 @@ class TestSkipSoundness:
                 ),
             )
         )
-        decision = engine.evaluate(_request(scenario))
+        decision = engine.evaluate(scenario.request())
         if decision.kind != "skip":
             return  # falling through to the selector is always sound
         _assert_sound(scenario, decision, tolerance)
@@ -114,7 +103,7 @@ class TestSkipSoundness:
                 ),
             )
         )
-        decision = engine.evaluate(_request(scenario))
+        decision = engine.evaluate(scenario.request())
         if decision.kind != "skip":
             return
         assert decision.rule_id == "skip-native"
@@ -130,8 +119,8 @@ class TestSkipSoundness:
                 PolicyRule(rule_id="skip-all", action="skip", tolerance=0.05),
             ),
         )
-        first = PolicyEngine(document).evaluate(_request(scenario))
-        second = PolicyEngine(document).evaluate(_request(scenario))
+        first = PolicyEngine(document).evaluate(scenario.request())
+        second = PolicyEngine(document).evaluate(scenario.request())
         assert first.kind == second.kind
         if first.kind == "skip":
             assert first.plan.result == second.plan.result

@@ -20,6 +20,8 @@ every step:
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from hypothesis import given, settings, strategies as st
 
 from repro.core.graph import CatalogView
@@ -60,25 +62,15 @@ steps = st.one_of(
 
 
 def _request(receiver: str) -> PlanRequest:
-    return PlanRequest(
-        content=SCENARIO.content,
-        device=SCENARIO.device,
-        user=SCENARIO.user,
-        sender_node=SCENARIO.sender_node,
-        receiver_node=receiver,
-    )
+    return replace(SCENARIO.request(), receiver_node=receiver)
 
 
 def _digest(topology) -> str:
     return fingerprint_request(
-        user=SCENARIO.user,
-        content=SCENARIO.content,
-        device=SCENARIO.device,
-        sender_node=SCENARIO.sender_node,
-        receiver_node=SCENARIO.receiver_node,
-        catalog=SCENARIO.catalog,
-        placement=SCENARIO.placement,
-        view=CatalogView(topology=topology),
+        SCENARIO.request(),
+        SCENARIO.catalog,
+        SCENARIO.placement,
+        CatalogView(topology=topology),
     ).digest
 
 

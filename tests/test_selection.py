@@ -191,14 +191,6 @@ class TestFailure:
         assert result.path == ()
         assert "exhausted" in result.failure_reason
 
-    def test_run_or_raise(self):
-        registry, graph = tiny_world(decoders=("F9",))
-        selector = QoSPathSelector(
-            graph, registry, pinned_parameters(), fps_satisfaction()
-        )
-        with pytest.raises(NoPathError):
-            selector.run_or_raise()
-
     def test_build_chain_rejects_failure(self):
         registry, graph = tiny_world(decoders=("F9",))
         result = QoSPathSelector(

@@ -88,10 +88,9 @@ class TestServiceDescriptor:
     def test_can_follow_and_matching_formats(self):
         upstream = transcoder_descriptor("up", ("F0",), ("F1", "F2"))
         downstream = transcoder_descriptor("down", ("F2", "F9"), ("F3",))
-        assert downstream.can_follow(upstream)
         assert downstream.matching_formats(upstream) == ("F2",)
         unrelated = transcoder_descriptor("x", ("F7",), ("F8",))
-        assert not unrelated.can_follow(upstream)
+        assert unrelated.matching_formats(upstream) == ()
 
     def test_cpu_required_scales_with_rate(self):
         descriptor = transcoder_descriptor(cpu_factor=2.0)

@@ -9,8 +9,6 @@ import pytest
 
 from repro.core.graph import CatalogView
 from repro.errors import UnknownNodeError, ValidationError
-from repro.planner.batch import PlanRequest
-from repro.runtime.session import AdaptationSession
 from repro.sim import (
     FlashCrowd,
     LinkDegradation,
@@ -267,31 +265,13 @@ class TestFaults:
 
 
 class TestWorldResidual:
-    def _request(self, scenario):
-        return PlanRequest(
-            content=scenario.content,
-            device=scenario.device,
-            user=scenario.user,
-            sender_node=scenario.sender_node,
-            receiver_node=scenario.receiver_node,
-        )
-
     def test_plan_cache_hits_until_the_ledger_moves(self, small_scenario):
         world = SimWorld(small_scenario)
-        request = self._request(small_scenario)
+        request = small_scenario.request()
 
         def fresh():
             # Memo-free, cache-free planning on the live residual.
-            return AdaptationSession(
-                registry=small_scenario.registry,
-                parameters=small_scenario.parameters,
-                catalog=small_scenario.catalog,
-                placement=small_scenario.placement,
-                content=request.content,
-                device=request.device,
-                user=request.user,
-                sender_node=request.sender_node,
-                receiver_node=request.receiver_node,
+            return small_scenario.session(
                 record_trace=False,
                 view=CatalogView(topology=world.ledger.residual_topology()),
             ).plan()
@@ -338,7 +318,7 @@ class TestWorldResidual:
         self, small_scenario
     ):
         world = SimWorld(small_scenario)
-        request = self._request(small_scenario)
+        request = small_scenario.request()
         plan = world.plan(request)
         leases = world.reserve_plan(plan, request)
         assert leases is not None
