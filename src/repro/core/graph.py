@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.core.configuration import Configuration
-from repro.errors import GraphConstructionError, UnknownNodeError, UnknownServiceError
+from repro.errors import GraphConstructionError, UnknownServiceError
 from repro.network.placement import ENDPOINT_IDS, ServicePlacement
 from repro.network.topology import NetworkTopology
 from repro.profiles.content import ContentProfile
@@ -330,11 +330,9 @@ class AdaptationGraphBuilder:
         self,
         catalog: ServiceCatalog,
         placement: ServicePlacement,
-        check_resources: bool = True,
     ) -> None:
         self._catalog = catalog
         self._placement = placement
-        self._check_resources = check_resources
 
     def build(
         self,
@@ -397,7 +395,7 @@ class AdaptationGraphBuilder:
                 )
             if not self._placement.is_placed(descriptor.service_id):
                 continue  # Unplaced services cannot carry traffic.
-            if self._check_resources and not self._host_can_run(descriptor, topology):
+            if not self._host_can_run(descriptor, topology):
                 continue
             vertices.append(
                 Vertex(
@@ -446,8 +444,6 @@ class AdaptationGraphBuilder:
                     if host not in routes_from:
                         routes_from[host] = topology.widest_routes(host)
                     route = routes_from[host].get(consumer_host)
-                    if route is None and consumer_host not in topology:
-                        raise UnknownNodeError(consumer_host)
                     if route is None or route[0] <= 0.0:
                         continue  # Disconnected hosts cannot form an edge.
                     bandwidth, cost, delay = route

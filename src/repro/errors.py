@@ -132,7 +132,15 @@ class GatewayError(ReproError):
 
 
 class GatewayProtocolError(GatewayError):
-    """An HTTP/1.1 message on a gateway connection could not be parsed."""
+    """An HTTP/1.1 message on a gateway connection could not be parsed.
+
+    ``status`` is the HTTP status a server answers it with: 400, or 413
+    for a body over the cap.
+    """
+
+    def __init__(self, message: str, status: int = 400) -> None:
+        super().__init__(message)
+        self.status = status
 
 
 class PolicyDeniedError(ReproError):

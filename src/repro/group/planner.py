@@ -8,8 +8,8 @@ shared :class:`~repro.core.optimizer.OptimizeMemo`, the per-session
 1. a *trie merge* of the per-class standalone-optimal chains into a
    :class:`~repro.group.tree.SharedAdaptationTree` (prefix sharing, see
    ``docs/ALGORITHM.md`` §9);
-2. a generation-aware **tree cache**: whole group plans memoized under a
-   combined fingerprint (:func:`repro.planner.combine_fingerprints`) so a
+2. a **tree cache**: whole group plans memoized under a combined
+   fingerprint (:func:`repro.planner.combine_fingerprints`) so a
    repeated group against an unchanged world costs one dict lookup.
 
 Work therefore scales with the number of *distinct receiver classes*, not
@@ -36,7 +36,7 @@ from repro.network.reservations import (
 )
 from repro.planner.batch import BatchPlanner, PlanRequest
 from repro.planner.cache import PlanCache
-from repro.planner.fingerprint import PlanFingerprint, combine_fingerprints
+from repro.planner.fingerprint import combine_fingerprints
 from repro.runtime.session import SessionPlan
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
@@ -80,7 +80,7 @@ class GroupPlan:
 
 
 class GroupPlanner:
-    """Plans shared adaptation trees through a generation-aware tree cache."""
+    """Plans shared adaptation trees through a content-keyed tree cache."""
 
     def __init__(self, batch: BatchPlanner) -> None:
         self._batch = batch
@@ -110,14 +110,14 @@ class GroupPlanner:
 
     def fingerprint(
         self, request: GroupRequest, view: Optional[CatalogView] = None
-    ) -> PlanFingerprint:
-        """The tree-cache key: combined per-class fingerprints + stamp.
+    ) -> str:
+        """The tree-cache key: the combined per-class fingerprints.
 
         Receiver order is canonicalized (sorted by class_id), so the same
-        class set in any order hits the same tree.  Each member digest
-        embeds the infrastructure generations and the ``view``, so any
-        catalog / topology / placement / reservation change, and any
-        other view, misses and recomputes.
+        class set in any order hits the same tree.  Each member
+        fingerprint covers the infrastructure content and the ``view``,
+        so any catalog / topology / placement / reservation change, and
+        any other view, misses and recomputes.
         """
         parts = tuple(
             (
@@ -125,13 +125,13 @@ class GroupPlanner:
                 receiver.sessions,
                 self._batch.fingerprint(
                     self._plan_request(request, receiver), view
-                ).digest,
+                ),
             )
             for receiver in sorted(
                 request.receivers, key=lambda r: r.class_id
             )
         )
-        return combine_fingerprints(parts, self._batch.current_stamp())
+        return combine_fingerprints(parts)
 
     # ------------------------------------------------------------------
     # Planning
@@ -181,7 +181,6 @@ class GroupPlanner:
         self, request: GroupRequest, view: Optional[CatalogView] = None
     ) -> Tuple[GroupPlan, bool]:
         """Like :meth:`plan`, also reporting whether the tree was cached."""
-        self._tree_cache.purge_stale(self._batch.current_stamp())
         fingerprint = self.fingerprint(request, view)
         hit = fingerprint in self._tree_cache
         plan = self._tree_cache.get_or_compute(

@@ -13,19 +13,12 @@ share work below the plan level.
 """
 
 from repro.core.optimizer import OptimizeMemo, OptimizeMemoStats
-from repro.planner.fingerprint import (
-    GenerationStamp,
-    PlanFingerprint,
-    combine_fingerprints,
-    fingerprint_request,
-)
+from repro.planner.fingerprint import combine_fingerprints, fingerprint_request
 from repro.planner.cache import CacheStats, PlanCache
 from repro.planner.batch import BatchPlanner, PlanRequest
 from repro.planner.workload import device_variants, synthetic_requests
 
 __all__ = [
-    "GenerationStamp",
-    "PlanFingerprint",
     "combine_fingerprints",
     "fingerprint_request",
     "CacheStats",

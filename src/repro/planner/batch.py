@@ -6,7 +6,7 @@ the cache in :mod:`repro.planner.cache` memoizes.  :class:`BatchPlanner`
 pairs the two:
 
 - :meth:`BatchPlanner.plan` fingerprints one request against the current
-  infrastructure generations and serves it from the cache (single-flight
+  infrastructure content and serves it from the cache (single-flight
   on misses).  It is :meth:`BatchPlanner.probe` (policy pass, fingerprint,
   cache probe: an answer or the selector work left) followed by that
   work, so a caller can run the two steps on different threads;
@@ -36,11 +36,7 @@ from repro.formats.registry import FormatRegistry
 from repro.network.placement import ServicePlacement
 from repro.planner.cache import PlanCache
 from repro.policy.engine import PolicyDecision, PolicyEngine, PolicyPlan
-from repro.planner.fingerprint import (
-    GenerationStamp,
-    PlanFingerprint,
-    fingerprint_request,
-)
+from repro.planner.fingerprint import fingerprint_request
 from repro.runtime.session import AdaptationSession, PlanRequest, SessionPlan
 from repro.services.catalog import ServiceCatalog
 
@@ -124,17 +120,9 @@ class BatchPlanner:
     # ------------------------------------------------------------------
     # Single-request planning
     # ------------------------------------------------------------------
-    def current_stamp(self) -> GenerationStamp:
-        """The infrastructure generations a plan computed now would carry."""
-        return GenerationStamp(
-            catalog=self._catalog.generation,
-            topology=self._placement.topology.generation,
-            placement=self._placement.generation,
-        )
-
     def fingerprint(
         self, request: PlanRequest, view: Optional[CatalogView] = None
-    ) -> PlanFingerprint:
+    ) -> str:
         return fingerprint_request(request, self._catalog, self._placement, view)
 
     def plan_uncached(self, request: PlanRequest) -> SessionPlan:
@@ -254,18 +242,12 @@ class BatchPlanner:
     ) -> List[SessionPlan]:
         """Plan a batch concurrently; plans come back in request order.
 
-        Stale cache entries (older infrastructure generations) are purged
-        up front, so the batch starts from a consistent snapshot.  With
-        ``use_cache=False`` every request is planned from scratch — the
+        With ``use_cache=False`` every request is planned from scratch — the
         uncached baseline the benchmark compares against.
         """
         if not requests:
             return []
-        if use_cache:
-            self._cache.purge_stale(self.current_stamp())
-            planner = self.plan
-        else:
-            planner = self.plan_uncached
+        planner = self.plan if use_cache else self.plan_uncached
         workers = self._max_workers or min(8, len(requests))
         if workers <= 1:
             return [planner(request) for request in requests]

@@ -1,8 +1,8 @@
 """A thread-safe LRU plan cache with single-flight computation.
 
-The cache memoizes fully planned sessions by
-:class:`~repro.planner.fingerprint.PlanFingerprint`.  Three properties
-matter for serving heavy concurrent traffic:
+The cache memoizes fully planned sessions by request fingerprint
+(:func:`~repro.planner.fingerprint.fingerprint_request`).  Three
+properties matter for serving heavy concurrent traffic:
 
 - **LRU bound** — at most ``max_entries`` plans are retained; the least
   recently used entry is evicted first.
@@ -10,11 +10,11 @@ matter for serving heavy concurrent traffic:
   simultaneously, exactly one computes the plan; the rest wait on an event
   and then read the freshly inserted entry.  This removes the thundering
   herd that would otherwise recompute one popular plan N times.
-- **Generation-based invalidation** — fingerprints embed the generation
-  counters of the catalog / topology / placement, so a stale plan is
-  structurally unreachable (its key can never be produced again).
-  :meth:`purge_stale` additionally drops the dead entries eagerly and
-  counts them as invalidations.
+- **Content keys** — a fingerprint covers everything planning reads from
+  the request and the infrastructure, so a plan is served only for a
+  request whose inputs equal the ones it was computed from.  An entry
+  for a world that moved on is simply never asked for again and ages out
+  of the LRU; :meth:`clear` reclaims such entries eagerly.
 
 All statistics are maintained under the same lock as the entry map, so a
 snapshot taken via :attr:`stats` is internally consistent.
@@ -25,10 +25,9 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, Optional
 
 from repro.errors import ValidationError
-from repro.planner.fingerprint import GenerationStamp, PlanFingerprint
 
 __all__ = ["CacheStats", "PlanCache"]
 
@@ -56,15 +55,21 @@ class CacheStats:
 
 
 class PlanCache:
-    """LRU cache of planned sessions keyed by request fingerprint."""
+    """LRU cache of planned sessions keyed by request fingerprint.
+
+    A fingerprint covers neither the planner's format registry nor its
+    parameter set, so a cache may outlive a planner (serve the next one
+    after a scenario swap) only if it is cleared when the registry or
+    parameter set changes.
+    """
 
     def __init__(self, max_entries: int = 1024) -> None:
         if max_entries < 1:
             raise ValidationError("PlanCache needs max_entries >= 1")
         self._max_entries = max_entries
         self._lock = threading.RLock()
-        self._entries: "OrderedDict[PlanFingerprint, Any]" = OrderedDict()
-        self._inflight: Dict[PlanFingerprint, threading.Event] = {}
+        self._entries: "OrderedDict[str, Any]" = OrderedDict()
+        self._inflight: Dict[str, threading.Event] = {}
         self._hits = 0
         self._misses = 0
         self._evictions = 0
@@ -77,15 +82,7 @@ class PlanCache:
     # ------------------------------------------------------------------
     # Lookup / insert
     # ------------------------------------------------------------------
-    def get(self, fingerprint: PlanFingerprint) -> Optional[Any]:
-        """The cached plan, or ``None`` on a miss (counted either way)."""
-        with self._lock:
-            if fingerprint in self._entries:
-                return self._hit(fingerprint)
-            self._misses += 1
-            return None
-
-    def get_hit(self, fingerprint: PlanFingerprint) -> Optional[Any]:
+    def get_hit(self, fingerprint: str) -> Optional[Any]:
         """The cached plan counted as a hit, or ``None`` counting nothing.
 
         For a caller that probed with ``in`` and leaves a miss to
@@ -97,16 +94,9 @@ class PlanCache:
                 return self._hit(fingerprint)
             return None
 
-    def put(self, fingerprint: PlanFingerprint, plan: Any) -> None:
-        """Insert (or refresh) one entry, evicting LRU overflow."""
-        with self._lock:
-            self._entries[fingerprint] = plan
-            self._entries.move_to_end(fingerprint)
-            self._evict_overflow()
-
     def get_or_compute(
         self,
-        fingerprint: PlanFingerprint,
+        fingerprint: str,
         compute: Callable[[], Any],
     ) -> Any:
         """Return the cached plan, computing it at most once per miss.
@@ -147,27 +137,6 @@ class PlanCache:
             event.set()
             return plan
 
-    # ------------------------------------------------------------------
-    # Invalidation
-    # ------------------------------------------------------------------
-    def purge_stale(self, current: GenerationStamp) -> int:
-        """Drop entries not computed at ``current`` generations.
-
-        Stale entries can never be hit again (their fingerprints embed the
-        old counters); purging reclaims their memory eagerly and returns
-        how many were dropped.
-        """
-        with self._lock:
-            stale: List[PlanFingerprint] = [
-                fingerprint
-                for fingerprint in self._entries
-                if fingerprint.generations != current
-            ]
-            for fingerprint in stale:
-                del self._entries[fingerprint]
-            self._invalidations += len(stale)
-            return len(stale)
-
     def clear(self) -> int:
         """Drop everything; returns how many entries were invalidated."""
         with self._lock:
@@ -198,7 +167,7 @@ class PlanCache:
         with self._lock:
             return fingerprint in self._entries
 
-    def _hit(self, fingerprint: PlanFingerprint) -> Any:
+    def _hit(self, fingerprint: str) -> Any:
         # Caller holds the lock and has seen ``fingerprint`` in the map.
         self._entries.move_to_end(fingerprint)
         self._hits += 1

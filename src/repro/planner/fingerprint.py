@@ -7,9 +7,8 @@ construction → pruning → selection) consumes for one session:
   (user, content, device, and optionally context) via their
   ``cache_key()`` tuples, its endpoints (sender / receiver node) and its
   peer;
-- the *shared infrastructure state* via content keys plus monotonic
-  generation counters of the service catalog, the topology and the
-  placement;
+- the *shared infrastructure state* via the content keys of the service
+  catalog, the topology and the placement;
 - the per-call :class:`~repro.core.graph.CatalogView`, if any: its masked
   service ids and the content of its residual topology.  Planning against
   reserved capacity goes through a view over the bandwidth ledger's
@@ -17,18 +16,22 @@ construction → pruning → selection) consumes for one session:
   content.
 
 Two requests with equal fingerprints are guaranteed to produce identical
-plans, because planning is deterministic in exactly these inputs.  Any
-catalog mutation (``add`` / ``remove``), topology growth or re-placement
-bumps a generation counter, and a bandwidth reservation rewrites the
-residual a view carries, so either changes every subsequent fingerprint —
-a plan computed before a reservation can never be served stale.
+plans, because planning is deterministic in exactly these inputs (and in
+the planner's format registry and parameter set, which the key does not
+cover: a cache shared across planners must be cleared when those change).
+Content is the only staleness rule: a catalog ``add`` / ``remove``,
+topology growth, a re-placement or a reservation changes the key exactly
+when it changes what planning reads, and a mutation that restores earlier
+content (a descriptor removed and added back, a service re-placed on its
+own node, a booking released) restores the earlier key, whose plan is
+still the right answer.
 
 The digest is hierarchical.  Each infrastructure component — catalog,
 topology (the view's, if it carries one) and placement — is digested once
 per (object, generation): a SHA-256 over the canonical ``repr`` of its
 content key.  The request digest is then a SHA-256 over the request's own
 parts (profile keys, endpoints, peer), the three 64-hex component
-digests, the generation stamp and the sorted excluded ids.  Equal
+digests and the sorted excluded ids.  Equal
 component content gives equal component digests, so the fingerprint
 separates exactly the requests the full combined key would, while a
 steady-state request costs O(profile size), not O(catalog + topology).
@@ -41,7 +44,6 @@ from __future__ import annotations
 import hashlib
 import threading
 import weakref
-from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 from repro.core.graph import CatalogView
@@ -50,38 +52,7 @@ from repro.network.topology import NetworkTopology
 from repro.runtime.session import PlanRequest
 from repro.services.catalog import ServiceCatalog
 
-__all__ = [
-    "GenerationStamp",
-    "PlanFingerprint",
-    "combine_fingerprints",
-    "fingerprint_request",
-]
-
-
-@dataclass(frozen=True)
-class GenerationStamp:
-    """The infrastructure generation counters a plan was computed at."""
-
-    catalog: int
-    topology: int
-    placement: int
-
-
-@dataclass(frozen=True)
-class PlanFingerprint:
-    """A stable, hashable identity for one planning request.
-
-    ``digest`` covers the full canonical key (profiles + endpoints +
-    infrastructure content + generations); ``generations`` is carried
-    alongside so caches can purge entries wholesale when the world moves
-    on (see :meth:`repro.planner.cache.PlanCache.purge_stale`).
-    """
-
-    digest: str
-    generations: GenerationStamp
-
-    def __str__(self) -> str:  # pragma: no cover - debugging aid
-        return self.digest[:12]
+__all__ = ["combine_fingerprints", "fingerprint_request"]
 
 
 def _digest(key: Tuple) -> str:
@@ -92,8 +63,8 @@ def _digest(key: Tuple) -> str:
 # Digests of the shared infrastructure's content keys are memoized per
 # (object, generation): under a batch of N requests against one unchanged
 # world the tuple construction and hashing run once, not N times, and each
-# request hashes a 64-hex digest in their place.  Generation bumps
-# naturally invalidate the memo; WeakKeyDictionary keeps dead worlds from
+# request hashes a 64-hex digest in their place.  A generation bump
+# re-digests the object's content; WeakKeyDictionary keeps dead worlds from
 # pinning memory.
 _KEY_MEMO: "weakref.WeakKeyDictionary[object, Tuple[int, str]]" = (
     weakref.WeakKeyDictionary()
@@ -151,22 +122,14 @@ def fingerprint_request(
     catalog: ServiceCatalog,
     placement: ServicePlacement,
     view: Optional[CatalogView] = None,
-) -> PlanFingerprint:
-    """Fingerprint one planning request against the current world state.
+) -> str:
+    """The 64-hex fingerprint of one request against the current world.
 
     A ``view`` adds its masked service ids to the key, and its topology's
     content digest replaces the placement topology's (planning reads only
     the view's), so a view over a ledger's residual keys on what the
-    reservations left; the generation stamp stays that of the shared
-    objects, so
-    :meth:`~repro.planner.cache.PlanCache.purge_stale` treats every view's
-    entries alike.
+    reservations left.
     """
-    stamp = GenerationStamp(
-        catalog=catalog.generation,
-        topology=placement.topology.generation,
-        placement=placement.generation,
-    )
     context = request.context
     key = (
         request.user.cache_key(),
@@ -183,26 +146,19 @@ def fingerprint_request(
             else placement.topology
         ),
         _placement_key(placement),
-        stamp,
     )
     if view is not None and view.excluded:
         key += (tuple(sorted(view.excluded)),)
-    return PlanFingerprint(digest=_digest(key), generations=stamp)
+    return _digest(key)
 
 
-def combine_fingerprints(
-    parts: Tuple[Tuple, ...],
-    stamp: GenerationStamp,
-) -> PlanFingerprint:
+def combine_fingerprints(parts: Tuple[Tuple, ...]) -> str:
     """One fingerprint over many — the group-plan (shared-tree) cache key.
 
     ``parts`` is a tuple of canonical sub-keys, typically
-    ``(class_id, sessions, per_class_digest)`` triples in a fixed order.
-    Every member digest already embeds the infrastructure generations, so
-    the combined key inherits the same staleness guarantee: any catalog /
-    topology / placement change alters every member and therefore the
-    combination.  The stamp rides along unchanged so
-    :meth:`~repro.planner.cache.PlanCache.purge_stale` works on group
-    entries exactly as it does on per-session ones.
+    ``(class_id, sessions, per_class_fingerprint)`` triples in a fixed
+    order.  Every member fingerprint already covers the infrastructure
+    content, so any change that alters what a member plans alters the
+    combination.
     """
-    return PlanFingerprint(digest=_digest(parts), generations=stamp)
+    return _digest(parts)

@@ -177,7 +177,7 @@ class AdaptationSession:
         return pipeline.stream(
             chain=plan.chain(),
             configuration=configuration,
-            score=self._request.user.satisfaction().score,
+            score=self._request.user.satisfaction(self._request.peer).score,
             sender_node=self._request.sender_node,
             receiver_node=self._request.receiver_node,
             duration_s=duration_s,

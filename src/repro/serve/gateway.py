@@ -226,10 +226,11 @@ async def serve_connection(
                 request = await read_request(reader)
             except GatewayProtocolError as exc:
                 bump("protocol_errors")
+                code = "too_large" if exc.status == 413 else "invalid"
                 writer.write(
                     render_response(
-                        400,
-                        encode_payload(error_payload("invalid", str(exc))),
+                        exc.status,
+                        encode_payload(error_payload(code, str(exc))),
                         headers=extra_headers,
                         keep_alive=False,
                     )
@@ -495,9 +496,10 @@ class PlanningGateway:
     def _quarantine_view(self) -> Optional[CatalogView]:
         """The view that masks OPEN services (``None`` when none are).
 
-        Tracks the quarantine set: any change flushes the plan cache, so
-        a plan computed before a breaker tripped is never served after
-        it.  Policy still applies under quarantine: a zero-hop skip needs
+        Tracks the quarantine set.  The view's masked ids are part of the
+        plan fingerprint, so a plan computed before a breaker tripped is
+        never served after it; the flush on each change only reclaims the
+        old set's entries.  Policy still applies under quarantine: a zero-hop skip needs
         no services, and a forced tier masks whatever the view leaves.
         """
         quarantined = self._health.quarantined(self._health_now())
@@ -622,10 +624,11 @@ class PlanningGateway:
 
         The state reference flips in one assignment on the event loop, so
         a request observes either the old world or the new one, never a
-        mix.  The generation counter bumps and the plan cache is cleared:
-        entries for the old world are unreachable anyway (fingerprints
-        embed catalog/topology content), clearing just reclaims them
-        eagerly and meters the invalidation.
+        mix.  The generation counter bumps and the plan cache is cleared.
+        The clear is load-bearing: a fingerprint covers the catalog,
+        topology and placement content but neither the format registry nor
+        the parameter set, so a swap that changes only those would
+        otherwise serve the old world's plans.
         """
         self._state = _new_state(
             scenario,

@@ -35,7 +35,7 @@ MAX_LINE_BYTES = 8192
 #: Cap on the number of header lines per message.
 MAX_HEADERS = 64
 #: Cap on message bodies; every gateway and cluster admin listener
-#: answers a larger request 400.
+#: answers a larger request 413.
 MAX_BODY_BYTES = 1_048_576
 
 _REASONS = {
@@ -115,7 +115,9 @@ async def _read_body(
         raise GatewayProtocolError(f"bad Content-Length: {raw_length!r}")
     length = int(raw_length)
     if length > max_body:
-        raise GatewayProtocolError(f"body of {length} bytes exceeds cap {max_body}")
+        raise GatewayProtocolError(
+            f"body of {length} bytes exceeds cap {max_body}", status=413
+        )
     if "transfer-encoding" in headers:
         raise GatewayProtocolError("chunked transfer encoding is not supported")
     if length == 0:

@@ -76,7 +76,7 @@ class SimSession:
         self._stall_floor = stall_satisfaction
         self._abandon_after = abandon_after_stalls
         self._admission_floor = admission_floor
-        self._satisfaction = request.user.satisfaction()
+        self._satisfaction = request.user.satisfaction(request.peer)
 
         # Streaming state
         self._plan: Optional[SessionPlan] = None

@@ -19,10 +19,11 @@ for the whole run.  Each call carries a
 :class:`~repro.core.graph.CatalogView`: the ledger's *live residual*
 topology (base capacity x fault factor, minus reservations, updated in
 place by every booking and fault) plus the crashed and quarantined
-services to mask.  A new view is made only when the fault, ledger or
-health generation (or the quarantine set) moves, and each one clears the
-plan cache, so a burst of arrivals against unchanged state shares cached
-plans while plans for a past state never linger.
+services to mask.  The plan fingerprint keys on the view's content, so a
+burst of arrivals against unchanged state shares cached plans.  A new
+view is made only when the fault, ledger or health generation (or the
+quarantine set) moves, and each one clears the plan cache to reclaim the
+entries of the past state.
 """
 
 from __future__ import annotations
@@ -237,9 +238,9 @@ class SimWorld:
         """The view for the current (fault, ledger, health) state.
 
         Remade lazily whenever a generation or the quarantine set moves;
-        each new view clears the plan cache, because no plan of the
-        previous state can hit again.  The shared optimize memo carries
-        solved relaxations across views.
+        each new view clears the plan cache, which only reclaims memory
+        (the fingerprint keys on the view's content).  The shared
+        optimize memo carries solved relaxations across views.
         """
         quarantined: frozenset = frozenset()
         health_generation = 0

@@ -58,11 +58,9 @@ class Scenario:
     # ------------------------------------------------------------------
     # Shortcuts
     # ------------------------------------------------------------------
-    def build_graph(self, check_resources: bool = True) -> AdaptationGraph:
+    def build_graph(self) -> AdaptationGraph:
         """Construct the (unpruned) adaptation graph for this scenario."""
-        builder = AdaptationGraphBuilder(
-            self.catalog, self.placement, check_resources=check_resources
-        )
+        builder = AdaptationGraphBuilder(self.catalog, self.placement)
         return builder.build(
             content=self.content,
             device=self.device,

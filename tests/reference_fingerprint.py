@@ -3,7 +3,7 @@
 Before plan fingerprints hashed one digest per infrastructure component,
 :func:`~repro.planner.fingerprint.fingerprint_request` hashed one combined
 tuple: the request's own parts, the whole catalog, topology and placement
-content keys, the generation stamp and the sorted excluded ids.
+content keys and the sorted excluded ids.
 :func:`reference_key` keeps that combined key verbatim, built fresh on
 every call with no memo.  The fingerprint oracle suite asserts that two
 requests get equal production digests exactly when their reference keys
@@ -18,7 +18,6 @@ from repro.core.graph import CatalogView
 from repro.core.selection import TieBreakPolicy
 from repro.network.placement import ServicePlacement
 from repro.network.topology import NetworkTopology
-from repro.planner.fingerprint import GenerationStamp
 from repro.profiles.content import ContentProfile
 from repro.profiles.context import ContextProfile
 from repro.profiles.device import DeviceProfile
@@ -67,11 +66,6 @@ def reference_key(
     record_trace: bool = False,
 ) -> Tuple:
     """The combined canonical key of one planning request."""
-    stamp = GenerationStamp(
-        catalog=catalog.generation,
-        topology=placement.topology.generation,
-        placement=placement.generation,
-    )
     key = (
         user.cache_key(),
         content.cache_key(),
@@ -90,7 +84,6 @@ def reference_key(
             else placement.topology
         ),
         _placement_key(placement),
-        stamp,
     )
     if view is not None and view.excluded:
         key += (tuple(sorted(view.excluded)),)

@@ -55,7 +55,7 @@ def test_batch_preserves_request_order():
         assert plan.result == plans[i % 6].result
 
 
-def test_batch_purges_stale_entries_after_mutation():
+def test_batch_recomputes_after_mutation():
     scenario = _scenario()
     cache = PlanCache()
     planner = BatchPlanner.for_scenario(scenario, cache=cache)
@@ -63,11 +63,15 @@ def test_batch_purges_stale_entries_after_mutation():
     planner.plan_batch(requests)
     assert len(cache) == 4
     scenario.topology.node("late-node")  # world moves on
-    planner.plan_batch(requests)
+    plans = planner.plan_batch(requests)
     stats = cache.stats
-    assert stats.invalidations == 4  # old generation purged up front
-    assert stats.misses == 8  # recomputed once per class, per epoch
-    assert len(cache) == 4
+    assert stats.misses == 8  # recomputed once per class, per world
+    # The old world's entries are never asked for again; the LRU ages
+    # them out.
+    assert stats.invalidations == 0
+    assert len(cache) == 8
+    for request, plan in zip(requests, plans):
+        assert plan.result == planner.plan_uncached(request).result
 
 
 def test_uncached_batch_touches_no_cache():

@@ -9,10 +9,13 @@ keys are equal.
 
 Two worlds start as identical copies of one generated scenario, and every
 step applies the same kind of mutation to both with independently drawn
-arguments, so their generation stamps stay in lockstep while their content
-may or may not part.  That way each component's digest is the only thing
-that can tell the worlds apart: dropping any one of them from the key
-makes two unequal reference keys share a digest.
+arguments, so their content may or may not part.  That way each
+component's digest is the only thing that can tell the worlds apart:
+dropping any one of them from the key makes two unequal reference keys
+share a digest.  Some steps restore earlier content (a removed descriptor
+added back, a service re-placed on its own node, a booking released), so
+a key that kept anything beyond content, such as a generation counter,
+gives one reference key two digests.
 """
 
 from __future__ import annotations
@@ -33,9 +36,11 @@ from tests.reference_fingerprint import reference_key
 STEPS = [
     "catalog-add",
     "catalog-remove",
+    "catalog-readd",
     "topology-node",
     "topology-link",
     "placement",
+    "placement-same",
     "book",
     "release",
     "capacity",
@@ -60,6 +65,7 @@ class _World:
         )
         self.ledger = BandwidthLedger(self.scenario.topology)
         self.bookings = []
+        self.removed = []
         self.excluded = frozenset()
         self.user = self.scenario.user
         self.device = self.scenario.device
@@ -83,7 +89,10 @@ class _World:
             )
         elif kind == "catalog-remove":
             if len(ids) > 1:
-                scenario.catalog.remove(ids[pick % len(ids)])
+                self.removed.append(scenario.catalog.remove(ids[pick % len(ids)]))
+        elif kind == "catalog-readd":
+            if self.removed:
+                scenario.catalog.add(self.removed.pop())
         elif kind == "topology-node":
             scenario.topology.node(f"late-{step}-{pick % 2}")
         elif kind == "topology-link":
@@ -93,6 +102,9 @@ class _World:
             )
         elif kind == "placement":
             scenario.placement.place(ids[pick % len(ids)], nodes[pick % len(nodes)])
+        elif kind == "placement-same":
+            placed = sorted(scenario.placement.as_dict().items())
+            scenario.placement.place(*placed[pick % len(placed)])
         elif kind == "book":
             a, b = links[pick % len(links)]
             self.bookings.append(self.ledger.reserve([a, b], 1e3 * (1 + pick % 2)))
@@ -186,7 +198,7 @@ def test_digests_equal_exactly_when_reference_keys_are(seed, steps):
                     request["catalog"],
                     request["placement"],
                     request["view"],
-                ).digest
+                )
                 digests_of.setdefault(key, set()).add(digest)
                 keys_of.setdefault(digest, set()).add(key)
 

@@ -10,11 +10,18 @@ configuration, not of how fast the host machine plans.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import json
 import time
 
 import pytest
 
+from repro.core.parameters import (
+    FRAME_RATE,
+    ContinuousDomain,
+    Parameter,
+    ParameterSet,
+)
 from repro.profiles.serialization import profile_to_dict
 from repro.serve import (
     GatewayConfig,
@@ -23,8 +30,9 @@ from repro.serve import (
     run_loadgen,
 )
 from repro.serve.health import HealthConfig
-from repro.serve.http11 import read_response, render_request
+from repro.serve.http11 import MAX_BODY_BYTES, read_response, render_request
 from repro.serve.protocol import encode_payload
+from repro.workloads.paper import figure6_scenario
 from repro.workloads.synthetic import SyntheticConfig, generate_scenario
 
 SCENARIO = generate_scenario(
@@ -199,6 +207,31 @@ class TestPlanEndpoint:
             return response.status, after[0]
 
         assert run_against_gateway(scenario) == (400, 200)
+
+    def test_oversized_body_gets_413_and_closes(self):
+        async def scenario(gateway):
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", gateway.port
+            )
+            writer.write(
+                b"POST /plan HTTP/1.1\r\n"
+                + f"content-length: {MAX_BODY_BYTES + 1}\r\n\r\n".encode()
+            )
+            await writer.drain()
+            response = await read_response(reader)
+            closed = await reader.read() == b""
+            writer.close()
+            after = await request(gateway.port, "GET", "/healthz")
+            counters = dict(gateway.metrics.counters)
+            return response, closed, after[0], counters
+
+        response, closed, after, counters = run_against_gateway(scenario)
+        assert response.status == 413
+        assert json.loads(response.body)["status"] == "too_large"
+        assert response.headers["connection"] == "close"
+        assert closed
+        assert counters["protocol_errors"] == 1
+        assert after == 200
 
     def test_keep_alive_serves_multiple_requests(self):
         async def scenario(gateway):
@@ -394,6 +427,39 @@ class TestHotSwap:
         summary, response = run_against_gateway(scenario)
         assert summary["generation"] == 2
         assert response[1]["generation"] == 2
+
+    def test_swap_to_new_parameters_does_not_serve_old_plans(self):
+        # The plan fingerprint covers neither the parameter set nor the
+        # format registry, so a swap that changes only those keeps every
+        # key: the reload's cache clear is what keeps the old plan out.
+        fig6 = figure6_scenario()
+        five_fps = dataclasses.replace(
+            fig6,
+            parameters=ParameterSet(
+                Parameter(FRAME_RATE, p.unit, ContinuousDomain(0.0, 5.0))
+                if p.name == FRAME_RATE
+                else p
+                for p in fig6.parameters
+            ),
+        )
+
+        async def scenario():
+            gateway = PlanningGateway(fig6, gateway_config())
+            await gateway.start()
+            try:
+                before = await request(gateway.port, "POST", "/plan", {})
+                gateway.swap_scenario(five_fps)
+                after = await request(gateway.port, "POST", "/plan", {})
+                return before[1], after[1]
+            finally:
+                await gateway.drain()
+
+        before, after = asyncio.run(scenario())
+        assert before["path"] == ["sender", "T7", "receiver"]
+        fresh = five_fps.session().plan().result
+        assert after["cache_hit"] is False
+        assert after["path"] == ["sender", "T10", "receiver"] == list(fresh.path)
+        assert after["satisfaction"] == pytest.approx(fresh.satisfaction, abs=1e-6)
 
     def test_reload_rejects_malformed_bodies(self):
         async def scenario(gateway):

@@ -29,7 +29,6 @@ from repro.workloads.synthetic import SyntheticConfig, generate_scenario
 
 
 def simple_world(
-    check_resources: bool = True,
     heavy_service: bool = False,
     context_caps=None,
     view=None,
@@ -72,7 +71,7 @@ def simple_world(
         ],
     )
     device = DeviceProfile(device_id="d", decoders=["F1"], max_frame_rate=25.0)
-    builder = AdaptationGraphBuilder(catalog, placement, check_resources=check_resources)
+    builder = AdaptationGraphBuilder(catalog, placement)
     graph = builder.build(
         content=content,
         device=device,
@@ -170,15 +169,13 @@ class TestConstruction:
     def test_resource_check_excludes_oversized_services(self):
         graph = simple_world(heavy_service=True)  # n1 has 32 MB, T1 needs 64
         assert "T1" not in graph
-        graph = simple_world(heavy_service=True, check_resources=False)
-        assert "T1" in graph
 
     def test_view_topology_missing_a_service_host_rejected(self):
         partial = NetworkTopology()
         for node_id in ("ns", "n2", "nr"):  # T1's host n1 is missing
             partial.node(node_id)
         with pytest.raises(UnknownNodeError) as raised:
-            simple_world(check_resources=False, view=CatalogView(topology=partial))
+            simple_world(view=CatalogView(topology=partial))
         assert raised.value.node_id == "n1"
 
     def test_unknown_endpoint_node_rejected(self):

@@ -10,11 +10,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ValidationError
-from repro.planner import GenerationStamp, PlanCache, PlanFingerprint
-
-
-def _fp(digest: str, stamp: GenerationStamp = GenerationStamp(0, 0, 0)):
-    return PlanFingerprint(digest=digest, generations=stamp)
+from repro.planner import PlanCache
 
 
 def test_rejects_nonpositive_capacity():
@@ -24,10 +20,8 @@ def test_rejects_nonpositive_capacity():
 
 def test_get_counts_hits_and_misses():
     cache = PlanCache()
-    fp = _fp("a")
-    assert cache.get(fp) is None
-    cache.put(fp, "plan-a")
-    assert cache.get(fp) == "plan-a"
+    assert cache.get_or_compute("a", lambda: "plan-a") == "plan-a"
+    assert cache.get_or_compute("a", lambda: "other") == "plan-a"
     stats = cache.stats
     assert stats.hits == 1
     assert stats.misses == 1
@@ -39,27 +33,28 @@ def test_get_hit_counts_only_hits():
     # A probe that saw the entry reads it with get_hit; an entry gone by
     # then is left to get_or_compute, so the lookup is counted once.
     cache = PlanCache(max_entries=2)
-    assert cache.get_hit(_fp("a")) is None
+    assert cache.get_hit("a") is None
     assert cache.stats.lookups == 0
-    cache.put(_fp("a"), 1)
-    cache.put(_fp("b"), 2)
-    assert cache.get_hit(_fp("a")) == 1  # refresh "a": now "b" is LRU
-    cache.put(_fp("c"), 3)
-    assert _fp("b") not in cache and _fp("a") in cache
-    assert cache.get_or_compute(_fp("b"), lambda: 2) == 2
+    cache.get_or_compute("a", lambda: 1)
+    cache.get_or_compute("b", lambda: 2)
+    assert cache.get_hit("a") == 1  # refresh "a": now "b" is LRU
+    cache.get_or_compute("c", lambda: 3)
+    assert "b" not in cache and "a" in cache
+    assert cache.get_hit("b") is None
+    assert cache.get_or_compute("b", lambda: 2) == 2
     stats = cache.stats
-    assert (stats.hits, stats.misses) == (1, 1)
+    assert (stats.hits, stats.misses) == (1, 4)
 
 
 def test_lru_evicts_least_recently_used():
     cache = PlanCache(max_entries=2)
-    cache.put(_fp("a"), 1)
-    cache.put(_fp("b"), 2)
-    assert cache.get(_fp("a")) == 1  # refresh "a": now "b" is LRU
-    cache.put(_fp("c"), 3)
-    assert _fp("b") not in cache
-    assert _fp("a") in cache
-    assert _fp("c") in cache
+    cache.get_or_compute("a", lambda: 1)
+    cache.get_or_compute("b", lambda: 2)
+    assert cache.get_hit("a") == 1  # refresh "a": now "b" is LRU
+    cache.get_or_compute("c", lambda: 3)
+    assert "b" not in cache
+    assert "a" in cache
+    assert "c" in cache
     assert cache.stats.evictions == 1
     assert len(cache) == 2
 
@@ -72,9 +67,8 @@ def test_get_or_compute_computes_once():
         calls.append(1)
         return "plan"
 
-    fp = _fp("a")
-    assert cache.get_or_compute(fp, compute) == "plan"
-    assert cache.get_or_compute(fp, compute) == "plan"
+    assert cache.get_or_compute("a", compute) == "plan"
+    assert cache.get_or_compute("a", compute) == "plan"
     assert len(calls) == 1
     stats = cache.stats
     assert stats.misses == 1
@@ -83,35 +77,21 @@ def test_get_or_compute_computes_once():
 
 def test_get_or_compute_propagates_and_recovers_from_failure():
     cache = PlanCache()
-    fp = _fp("a")
 
     def boom():
         raise RuntimeError("planner blew up")
 
     with pytest.raises(RuntimeError):
-        cache.get_or_compute(fp, boom)
+        cache.get_or_compute("a", boom)
     # A failed computation leaves no entry and no stuck in-flight marker.
-    assert fp not in cache
-    assert cache.get_or_compute(fp, lambda: "recovered") == "recovered"
-
-
-def test_purge_stale_drops_only_old_generations():
-    cache = PlanCache()
-    old = GenerationStamp(0, 0, 0)
-    new = GenerationStamp(1, 0, 0)
-    cache.put(_fp("a", old), 1)
-    cache.put(_fp("b", old), 2)
-    cache.put(_fp("c", new), 3)
-    assert cache.purge_stale(new) == 2
-    assert len(cache) == 1
-    assert _fp("c", new) in cache
-    assert cache.stats.invalidations == 2
+    assert "a" not in cache
+    assert cache.get_or_compute("a", lambda: "recovered") == "recovered"
 
 
 def test_clear_counts_as_invalidation():
     cache = PlanCache()
-    cache.put(_fp("a"), 1)
-    cache.put(_fp("b"), 2)
+    cache.get_or_compute("a", lambda: 1)
+    cache.get_or_compute("b", lambda: 2)
     assert cache.clear() == 2
     assert len(cache) == 0
     assert cache.stats.invalidations == 2
@@ -119,10 +99,10 @@ def test_clear_counts_as_invalidation():
 
 def test_stats_snapshot_is_immutable_and_consistent():
     cache = PlanCache()
-    cache.put(_fp("a"), 1)
-    cache.get(_fp("a"))
+    cache.get_or_compute("a", lambda: 1)
+    cache.get_hit("a")
     snapshot = cache.stats
-    cache.get(_fp("a"))
+    cache.get_hit("a")
     assert snapshot.hits == 1  # old snapshot unaffected
     assert cache.stats.hits == 2
     with pytest.raises(AttributeError):

@@ -71,7 +71,7 @@ def _digest(topology) -> str:
         SCENARIO.catalog,
         SCENARIO.placement,
         CatalogView(topology=topology),
-    ).digest
+    )
 
 
 def _apply(world: SimWorld, held: list, step: tuple) -> bool:

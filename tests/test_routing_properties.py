@@ -136,17 +136,16 @@ def _build(builder, scenario, view):
 @given(
     name=st.sampled_from(sorted(_SCENARIOS)),
     factor=st.sampled_from([None, 1.0, 0.3, 0.01, 0.0]),
-    check_resources=st.booleans(),
     data=st.data(),
 )
 @settings(max_examples=120, deadline=None)
-def test_build_equals_per_pair_reference_build(name, factor, check_resources, data):
+def test_build_equals_per_pair_reference_build(name, factor, data):
     scenario = _scenario(name)
     excluded = frozenset(data.draw(st.sets(st.sampled_from(scenario.catalog.ids()))))
     view = CatalogView(
         excluded=excluded, topology=_scaled_topology(scenario.topology, factor)
     )
-    args = (scenario.catalog, scenario.placement, check_resources)
+    args = (scenario.catalog, scenario.placement)
     reference = ReferenceGraphBuilder(*args)
     expected = _build(reference, scenario, view)
     graph = _build(AdaptationGraphBuilder(*args), scenario, view)

@@ -141,6 +141,29 @@ class TestDelivery:
         assert report.startup_latency_s > 0.0
         assert report.total_cost == pytest.approx(1.0)
 
+    def test_delivery_scores_for_the_planned_peer(self, fig6):
+        from repro.core.parameters import FRAME_RATE
+        from repro.core.satisfaction import LinearSatisfaction
+        from repro.profiles.user import UserProfile
+
+        user = UserProfile(
+            user_id="peer-user",
+            satisfaction_functions={FRAME_RATE: LinearSatisfaction(0.0, 30.0)},
+            budget=fig6.user.budget,
+            peer_overrides={"bob": {FRAME_RATE: LinearSatisfaction(0.0, 60.0)}},
+        )
+        request = dataclasses.replace(fig6.request(), user=user, peer="bob")
+        session = AdaptationSession(
+            fig6.registry, fig6.parameters, fig6.catalog, fig6.placement, request
+        )
+        plan = session.plan()
+        report = session.deliver(plan, duration_s=10.0)
+        # The peer's 60 fps ideal halves the default model's score.
+        assert plan.result.satisfaction != pytest.approx(
+            user.satisfaction().score(plan.result.configuration)
+        )
+        assert report.satisfaction == pytest.approx(plan.result.satisfaction)
+
     def test_fluctuation_degrades_delivery(self, fig6):
         session = fig6.session()
         plan = session.plan()

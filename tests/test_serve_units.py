@@ -104,8 +104,9 @@ class TestHttpCodec:
 
     def test_oversized_body_rejected_without_reading_it(self):
         head = b"POST /plan HTTP/1.1\r\ncontent-length: 100\r\n\r\n"
-        with pytest.raises(GatewayProtocolError):
+        with pytest.raises(GatewayProtocolError) as excinfo:
             parse_request(head + b"x" * 100, max_body=10)
+        assert excinfo.value.status == 413
 
     def test_chunked_encoding_rejected(self):
         wire = b"POST /x HTTP/1.1\r\ntransfer-encoding: chunked\r\n\r\n"
