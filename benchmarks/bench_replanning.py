@@ -4,7 +4,8 @@ Section 3 motivates the network profile with "the fluctuating network
 resources"; the paper's framework implies the selection should be re-run
 when the chain degrades.  This bench collapses the winning chain's host
 (T7) mid-session and compares a session that re-plans against one that
-stubbornly streams on, reporting the satisfaction each actually observed.
+stubbornly streams on, reporting the satisfaction each actually observed
+at its once-a-second checks (``CHECK_INTERVAL_S``).
 """
 
 from __future__ import annotations
@@ -35,15 +36,13 @@ def test_replanning_restores_satisfaction(benchmark, save_artifact):
     collapse = HostCollapse(host="n7", at_s=10.0)
 
     def adaptive_run():
-        session = AdaptiveSession(
-            scenario, collapse, check_interval_s=1.0, replan_threshold=0.9
-        )
+        session = AdaptiveSession(scenario, collapse, replan_threshold=0.9)
         return session.run(duration_s=30.0)
 
     adaptive = benchmark(adaptive_run)
     # A "stubborn" session: threshold so low it never re-plans.
     stubborn = AdaptiveSession(
-        scenario, collapse, check_interval_s=1.0, replan_threshold=0.01
+        scenario, collapse, replan_threshold=0.01
     ).run(duration_s=30.0)
 
     rows = []

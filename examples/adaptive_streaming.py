@@ -5,7 +5,8 @@ The paper plans a chain against a bandwidth snapshot; real networks
 fluctuate (Section 3's motivation for the network profile).  This example
 streams the Figure 6 scenario while the winning chain's host (n7, running
 T7) collapses mid-session, and shows the adaptive session detecting the
-drop, re-running selection against the degraded topology, and switching to
+drop at its next once-a-second check (``CHECK_INTERVAL_S``), re-running
+selection against the degraded topology, and switching to
 the next-best chain — versus a stubborn session that keeps pushing frames
 at a dead proxy.
 
@@ -41,7 +42,7 @@ def main() -> None:
           "collapses at t=10 s.\n")
 
     adaptive = AdaptiveSession(
-        scenario, collapse, check_interval_s=1.0, replan_threshold=0.9
+        scenario, collapse, replan_threshold=0.9
     ).run(duration_s=duration)
 
     print("adaptive session timeline:")
@@ -58,7 +59,7 @@ def main() -> None:
         )
 
     stubborn = AdaptiveSession(
-        scenario, collapse, check_interval_s=1.0, replan_threshold=0.01
+        scenario, collapse, replan_threshold=0.01
     ).run(duration_s=duration)
 
     print()

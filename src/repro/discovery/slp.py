@@ -21,6 +21,10 @@ from repro.services.descriptor import ServiceDescriptor
 
 __all__ = ["SrvRqst", "SrvRply", "ServiceAgent", "DirectoryAgent", "UserAgent"]
 
+#: Seconds an advertisement lives when :meth:`ServiceAgent.register` is
+#: given no ``ttl``.
+DEFAULT_TTL_S = 300.0
+
 
 @dataclass(frozen=True)
 class SrvRqst:
@@ -69,24 +73,18 @@ class DirectoryAgent:
 class ServiceAgent:
     """Advertises one node's services and keeps them alive."""
 
-    def __init__(
-        self,
-        node_id: str,
-        directory: DirectoryAgent,
-        default_ttl: float = 300.0,
-    ) -> None:
+    def __init__(self, node_id: str, directory: DirectoryAgent) -> None:
         if not node_id:
             raise DiscoveryError("a service agent needs a node id")
         self.node_id = node_id
         self._directory = directory
-        self._default_ttl = default_ttl
         self._registered: List[str] = []
 
     def register(
         self, descriptor: ServiceDescriptor, ttl: Optional[float] = None
     ) -> Advertisement:
         advertisement = self._directory.handle_registration(
-            descriptor, self.node_id, ttl if ttl is not None else self._default_ttl
+            descriptor, self.node_id, ttl if ttl is not None else DEFAULT_TTL_S
         )
         if descriptor.service_id not in self._registered:
             self._registered.append(descriptor.service_id)

@@ -29,6 +29,9 @@ __all__ = [
     "BandwidthEstimator",
 ]
 
+#: Seconds between the steps of a :class:`RandomWalkBandwidth` walk.
+_TICK_S = 1.0
+
 
 class FluctuationModel:
     """Maps (link, time) to a bandwidth factor in ``(0, 1]``."""
@@ -70,7 +73,7 @@ class SinusoidalBandwidth(FluctuationModel):
 
 
 class RandomWalkBandwidth(FluctuationModel):
-    """Seeded bounded random walk per link, sampled on a fixed tick.
+    """Seeded bounded random walk per link, sampled on a one-second tick.
 
     Models bursty cross-traffic: each tick the factor moves by a uniform
     step and is reflected into ``[floor, 1]``.
@@ -81,22 +84,18 @@ class RandomWalkBandwidth(FluctuationModel):
         seed: int = 0,
         step: float = 0.05,
         floor: float = 0.2,
-        tick_s: float = 1.0,
     ) -> None:
         if not 0.0 < floor <= 1.0:
             raise ValidationError("floor must lie in (0, 1]")
         if step < 0:
             raise ValidationError("step must be >= 0")
-        if tick_s <= 0:
-            raise ValidationError("tick must be positive")
         self._seed = seed
         self._step = step
         self._floor = floor
-        self._tick = tick_s
         self._cache: Dict[Tuple[Tuple[str, str], int], float] = {}
 
     def factor(self, link: Link, time_s: float) -> float:
-        tick = int(time_s / self._tick)
+        tick = int(time_s / _TICK_S)
         key = (link.endpoints(), tick)
         cached = self._cache.get(key)
         if cached is not None:

@@ -92,9 +92,9 @@ class BandwidthLedger:
     def generation(self) -> int:
         """Monotonic mutation counter (bumped on every ledger change).
 
-        :class:`~repro.sim.world.SimWorld` remakes its planning view and
-        clears its plan cache when this moves, so a plan computed before a
-        reservation is never served from cache afterwards.
+        :class:`~repro.sim.world.SimWorld` remakes its planning view when
+        this moves, and clears its plan cache only to reclaim memory: the
+        fingerprint keys on the residual topology's content.
         """
         with self._lock:
             return self._generation

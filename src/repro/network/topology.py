@@ -115,8 +115,8 @@ class NetworkTopology:
     def generation(self) -> int:
         """Monotonic mutation counter (bumped by every add and set_bandwidth).
 
-        Plan fingerprints embed this counter so a cached plan can never
-        outlive the topology it was computed on.
+        Plan fingerprints hash the topology's content, not this counter; a
+        bump only tells the fingerprint's digest memo to re-digest it.
         """
         return self._generation
 

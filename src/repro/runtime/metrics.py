@@ -315,7 +315,8 @@ class PlannerReport:
     cache_hits: int
     #: Cache lookups that had to compute.
     cache_misses: int
-    #: Entries dropped because the infrastructure moved on.
+    #: Entries dropped by cache clears, which only reclaim memory (plans
+    #: are keyed on content, so no entry goes stale).
     invalidations: int
     #: Entries dropped by the LRU bound.
     evictions: int

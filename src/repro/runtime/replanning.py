@@ -36,6 +36,9 @@ from repro.workloads.scenario import Scenario
 
 __all__ = ["ReplanReport", "StreamSegment", "AdaptiveSession"]
 
+#: Seconds between an :class:`AdaptiveSession`'s observations.
+CHECK_INTERVAL_S = 1.0
+
 
 @dataclass(frozen=True)
 class StreamSegment:
@@ -84,17 +87,13 @@ class AdaptiveSession:
         self,
         scenario: Scenario,
         fluctuation: FluctuationModel,
-        check_interval_s: float = 1.0,
         replan_threshold: float = 0.8,
     ) -> None:
-        if check_interval_s <= 0:
-            raise ValidationError("check interval must be positive")
         if not 0.0 < replan_threshold <= 1.0:
             raise ValidationError("replan threshold must lie in (0, 1]")
         self._scenario = scenario
         self._fluctuation = fluctuation
         self._estimator = BandwidthEstimator(scenario.topology, fluctuation)
-        self._interval = check_interval_s
         self._threshold = replan_threshold
 
     # ------------------------------------------------------------------
@@ -154,7 +153,7 @@ class AdaptiveSession:
     # The adaptive loop
     # ------------------------------------------------------------------
     def run(self, duration_s: float) -> ReplanReport:
-        """Stream for ``duration_s`` with observation every interval."""
+        """Stream for ``duration_s``, observing every :data:`CHECK_INTERVAL_S`."""
         if duration_s <= 0:
             raise ValidationError("duration must be positive")
         report = ReplanReport()
@@ -168,7 +167,7 @@ class AdaptiveSession:
         segment_start = 0.0
         segment_scores: List[float] = [current.satisfaction]
 
-        time_s = self._interval
+        time_s = CHECK_INTERVAL_S
         while time_s <= duration_s + 1e-9:
             observed = self.observe_satisfaction(current, time_s)
             floor = self._threshold * current.satisfaction
@@ -212,7 +211,7 @@ class AdaptiveSession:
                     )
             else:
                 segment_scores.append(observed)
-            time_s += self._interval
+            time_s += CHECK_INTERVAL_S
 
         report.segments.append(
             StreamSegment(

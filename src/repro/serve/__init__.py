@@ -10,6 +10,7 @@ without a restart, and reports one metrics document.  ``repro serve
 operational contract.
 """
 
+from repro.runtime.metrics import Histogram
 from repro.serve.admission import DeadlineQueue, RateLimiter, TokenBucket
 from repro.serve.cluster import ClusterConfig, ClusterSupervisor
 from repro.serve.gateway import GatewayConfig, PlanningGateway
@@ -26,7 +27,7 @@ from repro.serve.loadgen import (
     RequestOutcome,
     run_loadgen,
 )
-from repro.serve.metrics import GatewayMetrics, Histogram
+from repro.serve.metrics import GatewayMetrics
 from repro.serve.sharding import (
     SHARD_HINT_HEADER,
     WORKER_ID_HEADER,

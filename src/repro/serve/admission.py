@@ -30,6 +30,9 @@ from repro.errors import ValidationError
 
 __all__ = ["TokenBucket", "RateLimiter", "DeadlineQueue"]
 
+#: Most clients a :class:`RateLimiter` keeps a bucket for.
+MAX_CLIENTS = 10_000
+
 
 class TokenBucket:
     """The classic token bucket: ``rate_per_s`` refill, ``burst`` capacity."""
@@ -70,20 +73,13 @@ class TokenBucket:
 class RateLimiter:
     """Per-client token buckets with a bounded client table.
 
-    ``max_clients`` caps memory: when a new client would overflow the
+    :data:`MAX_CLIENTS` caps memory: when a new client would overflow the
     table, the least recently seen client's bucket is dropped (it will be
     recreated, full, on its next request — a deliberate bias towards
     admitting rather than stalling rare clients).
     """
 
-    def __init__(
-        self,
-        rate_per_s: float,
-        burst: float,
-        max_clients: int = 10_000,
-    ) -> None:
-        if max_clients < 1:
-            raise ValidationError("rate limiter needs max_clients >= 1")
+    def __init__(self, rate_per_s: float, burst: float) -> None:
         if rate_per_s < 0:
             raise ValidationError(
                 "rate limiter rate_per_s must be >= 0 (0 disables limiting)"
@@ -95,7 +91,6 @@ class RateLimiter:
             TokenBucket(rate_per_s, burst)
         self._rate = rate_per_s
         self._burst = burst
-        self._max_clients = max_clients
         #: Buckets in least-recently-seen-first order.
         self._buckets: "OrderedDict[str, TokenBucket]" = OrderedDict()
 
@@ -109,7 +104,7 @@ class RateLimiter:
             return True, 0.0
         bucket = self._buckets.get(client)
         if bucket is None:
-            if len(self._buckets) >= self._max_clients:
+            if len(self._buckets) >= MAX_CLIENTS:
                 self._buckets.popitem(last=False)
             bucket = TokenBucket(self._rate, self._burst)
             self._buckets[client] = bucket

@@ -75,8 +75,19 @@ __all__ = ["ClusterConfig", "ClusterSupervisor"]
 
 #: Per-scrape timeout when the supervisor fetches a worker's /metrics.
 _SCRAPE_TIMEOUT_S = 2.0
+#: First restart delay after a worker death; doubles per consecutive
+#: death up to ``_RESTART_BACKOFF_MAX_S``, and resets when a replacement
+#: reports ready.
+_RESTART_BACKOFF_S = 0.1
 #: Cap on the doubling restart delay of a crash-looping worker.
 _RESTART_BACKOFF_MAX_S = 2.0
+#: Per-worker bound on a reload acknowledgement: a worker that has not
+#: answered by then is reported with status ``timeout`` instead of
+#: stalling the whole fan-out (e.g. a SIGSTOP'd process).
+RELOAD_TIMEOUT_S = 30.0
+#: Extra wait past the workers' own ``drain_grace_s`` before the
+#: supervisor terminates (then kills) stragglers at drain.
+DRAIN_MARGIN_S = 5.0
 #: How long :meth:`ClusterSupervisor.start` waits for every worker's
 #: ``ready`` message before declaring the boot failed.
 _READY_TIMEOUT_S = 15.0
@@ -92,17 +103,6 @@ class ClusterConfig:
     #: Where the parent's admin/metrics server binds (0 = ephemeral).
     admin_host: str = "127.0.0.1"
     admin_port: int = 8078
-    #: First restart delay after a worker death; doubles per consecutive
-    #: death up to ``_RESTART_BACKOFF_MAX_S``, and resets when a
-    #: replacement reports ready.
-    restart_backoff_s: float = 0.1
-    #: Per-worker bound on a reload acknowledgement: a worker that has
-    #: not answered by then is reported with status ``timeout`` instead
-    #: of stalling the whole fan-out (e.g. a SIGSTOP'd process).
-    reload_timeout_s: float = 30.0
-    #: Extra wait past the workers' own ``drain_grace_s`` before the
-    #: supervisor terminates (then kills) stragglers at drain.
-    drain_margin_s: float = 5.0
 
 
 # ----------------------------------------------------------------------
@@ -426,7 +426,7 @@ class ClusterSupervisor:
 
         No restart fires once draining starts.  Workers that outlive the
         grace window (their own ``drain_grace_s`` plus
-        ``drain_margin_s``) are terminated, and workers that survive
+        :data:`DRAIN_MARGIN_S`) are terminated, and workers that survive
         even SIGTERM (stopped or wedged processes) are killed — a hung
         worker bounds, never blocks, the parent's exit.  Every worker
         that completed its drain contributes its final metrics document
@@ -440,7 +440,7 @@ class ClusterSupervisor:
         deadline = (
             loop.time()
             + self._gateway_config.drain_grace_s
-            + self._cluster.drain_margin_s
+            + DRAIN_MARGIN_S
         )
         while self._alive_count() and loop.time() < deadline:
             await asyncio.sleep(0.02)
@@ -680,10 +680,7 @@ class ClusterSupervisor:
         handle.restarts += 1
         delay = handle.backoff_s
         handle.backoff_s = min(
-            max(
-                handle.backoff_s * 2.0,
-                self._cluster.restart_backoff_s,
-            ),
+            max(handle.backoff_s * 2.0, _RESTART_BACKOFF_S),
             _RESTART_BACKOFF_MAX_S,
         )
         asyncio.get_running_loop().create_task(
@@ -804,7 +801,7 @@ class ClusterSupervisor:
         Serialized under a lock so concurrent reloads cannot interleave
         their acknowledgement futures; a worker that dies mid-reload
         resolves its future via :meth:`_on_worker_exit`.  Each worker's
-        acknowledgement is bounded by ``reload_timeout_s`` — a hung
+        acknowledgement is bounded by :data:`RELOAD_TIMEOUT_S` — a hung
         worker (stopped, livelocked) is reported as ``timeout`` instead
         of stalling the parent indefinitely.  ``/readyz`` answers 503
         for the whole fan-out window.
@@ -832,7 +829,7 @@ class ClusterSupervisor:
                     # per-worker acknowledgement budget.
                     await asyncio.wait(
                         futures.values(),
-                        timeout=self._cluster.reload_timeout_s,
+                        timeout=RELOAD_TIMEOUT_S,
                     )
                 results: Dict[int, Tuple[str, Any]] = {}
                 for worker_id, future in futures.items():
@@ -843,7 +840,7 @@ class ClusterSupervisor:
                         results[worker_id] = (
                             "timeout",
                             f"no acknowledgement within "
-                            f"{self._cluster.reload_timeout_s:g}s",
+                            f"{RELOAD_TIMEOUT_S:g}s",
                         )
                     self._handles[worker_id].pending_reload = None
                 return results

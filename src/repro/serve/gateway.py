@@ -348,8 +348,9 @@ class PlanningGateway:
             else None
         )
         self._connections: Set[asyncio.Task] = set()
-        #: Connection tasks holding a planning slot; a drain whose grace
-        #: runs out cancels them, and each answers 503.
+        #: Connection tasks planning on a granted slot (the ``inflight``
+        #: count); a drain whose grace runs out cancels them, and each
+        #: answers 503.
         self._planning: Set[asyncio.Task] = set()
         #: Writers of connections parked between requests.
         self._idle_writers: Set[asyncio.StreamWriter] = set()
@@ -361,7 +362,6 @@ class PlanningGateway:
             if self._config.worker_id is not None
             else {}
         )
-        self._inflight = 0
         self._draining = False
         self._port: Optional[int] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
@@ -375,9 +375,9 @@ class PlanningGateway:
         # for a job cancelled before it ran) — hence the lock.
         self._executor_lock = threading.Lock()
         self._executor_outstanding = 0
-        # Service health: breakers feed the quarantine view; a quarantine
-        # change flushes the plan cache so stale plans die with the
-        # breaker trip.
+        # Service health: breakers feed the quarantine view, whose masked
+        # ids are part of every plan fingerprint; a quarantine change
+        # clears the plan cache only to reclaim the old set's entries.
         self._health: Optional[HealthRegistry] = (
             HealthRegistry(
                 self._config.health, on_transition=self._on_breaker_transition
@@ -441,7 +441,7 @@ class PlanningGateway:
                 else 0.0
             ),
             queue_depth=len(self._queue),
-            inflight=self._inflight,
+            inflight=len(self._planning),
             draining=self._draining,
             cache={
                 "hits": stats.hits,
@@ -592,7 +592,7 @@ class PlanningGateway:
             server.close()
         loop = asyncio.get_running_loop()
         grace_ends = loop.time() + self._config.drain_grace_s
-        while (len(self._queue) or self._inflight) and loop.time() < grace_ends:
+        while (len(self._queue) or self._planning) and loop.time() < grace_ends:
             await asyncio.sleep(0.01)
         self._queue.drain_pending()
         for task in self._planning:
@@ -922,7 +922,6 @@ class PlanningGateway:
                 ),
                 {},
             )
-        self._inflight += 1
         try:
             return await self._plan_one(
                 loop, _QueuedRequest(envelope), deadline, queue_ms
@@ -930,8 +929,6 @@ class PlanningGateway:
         except ReproError as exc:
             self._metrics.bump("unplannable")
             return 422, error_payload("unplannable", str(exc)), {}
-        finally:
-            self._inflight -= 1
 
     def _claim_planning_thread(self) -> bool:
         """Count one more planning job, unless every thread is taken.

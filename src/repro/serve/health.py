@@ -5,7 +5,7 @@ whether an adaptation service is actually delivering.  This module
 closes that gap with three pieces:
 
 - :class:`FailureDetector` — an EWMA over reported outcomes.  Each
-  sample moves the failure estimate by ``f <- (1-alpha)*f + alpha*x``
+  sample moves the failure estimate by ``f <- (1-ALPHA)*f + ALPHA*x``
   with ``x = 1`` for a failure.  The estimate is bounded, recency-
   weighted, and cheap: one multiply-add per report.
 - :class:`CircuitBreaker` — a CLOSED -> OPEN -> HALF_OPEN state machine
@@ -13,9 +13,9 @@ closes that gap with three pieces:
   OPEN->HALF_OPEN, HALF_OPEN->CLOSED, HALF_OPEN->OPEN); anything else
   is a programming error and raises.  Opening requires the EWMA to
   cross ``open_threshold`` *and* ``min_samples`` distinct reports, and
-  closing requires ``probes_to_close`` consecutive probe successes
-  *and* the EWMA back under ``close_threshold`` — the gap between the
-  two thresholds is the hysteresis band that keeps adversarial
+  closing requires :data:`PROBES_TO_CLOSE` consecutive probe successes
+  *and* the EWMA back under :data:`CLOSE_THRESHOLD` — the gap between
+  the two thresholds is the hysteresis band that keeps adversarial
   alternating outcome streams from flapping the breaker (at the
   defaults an alternating stream's EWMA fixed point is ~0.59, strictly
   inside the band).
@@ -76,18 +76,25 @@ _LEGAL_TRANSITIONS: FrozenSet[Tuple[BreakerState, BreakerState]] = frozenset(
 )
 
 
+#: EWMA smoothing factor: weight of the newest outcome.
+ALPHA = 0.3
+#: EWMA estimate the probes must drag the detector back under before a
+#: HALF_OPEN breaker may close.  The gap to ``open_threshold`` is the
+#: hysteresis band.
+CLOSE_THRESHOLD = 0.35
+#: Outcomes considered while HALF_OPEN; reports beyond the quota without
+#: a verdict re-open the breaker.
+PROBE_QUOTA = 8
+#: Consecutive probe successes required to close.
+PROBES_TO_CLOSE = 3
+
+
 @dataclass(frozen=True)
 class HealthConfig:
     """Detector and breaker knobs, shared by every service's breaker."""
 
-    #: EWMA smoothing factor: weight of the newest outcome.
-    alpha: float = 0.3
     #: EWMA failure estimate at or above which a CLOSED breaker opens.
     open_threshold: float = 0.7
-    #: EWMA estimate the probes must drag the detector back under
-    #: before a HALF_OPEN breaker may close.  The gap to
-    #: ``open_threshold`` is the hysteresis band.
-    close_threshold: float = 0.35
     #: Reports required before the detector's estimate is trusted at
     #: all — a single failed first sample must not open the breaker.
     min_samples: int = 5
@@ -97,21 +104,14 @@ class HealthConfig:
     #: Upper bound of the deterministic jitter fraction drawn from
     #: ``(seed, service_id, open_count)``.
     cooldown_jitter: float = 0.5
-    #: Outcomes considered while HALF_OPEN; reports beyond the quota
-    #: without a verdict re-open the breaker.
-    probe_quota: int = 8
-    #: Consecutive probe successes required to close.
-    probes_to_close: int = 3
     #: Seed for the cooldown jitter stream.
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.alpha <= 1.0:
-            raise ValidationError(f"alpha must be in (0, 1], got {self.alpha}")
-        if not 0.0 < self.close_threshold < self.open_threshold <= 1.0:
+        if not CLOSE_THRESHOLD < self.open_threshold <= 1.0:
             raise ValidationError(
-                "thresholds must satisfy 0 < close < open <= 1, got "
-                f"close={self.close_threshold} open={self.open_threshold}"
+                "thresholds must satisfy close < open <= 1, got "
+                f"close={CLOSE_THRESHOLD} open={self.open_threshold}"
             )
         if self.min_samples < 1:
             raise ValidationError(
@@ -124,15 +124,6 @@ class HealthConfig:
         if not 0.0 <= self.cooldown_jitter <= 1.0:
             raise ValidationError(
                 f"cooldown_jitter must be in [0, 1], got {self.cooldown_jitter}"
-            )
-        if self.probes_to_close < 1:
-            raise ValidationError(
-                f"probes_to_close must be >= 1, got {self.probes_to_close}"
-            )
-        if self.probe_quota < self.probes_to_close:
-            raise ValidationError(
-                f"probe_quota ({self.probe_quota}) must cover "
-                f"probes_to_close ({self.probes_to_close})"
             )
 
 
@@ -159,16 +150,15 @@ class TransitionRecord:
 class FailureDetector:
     """EWMA failure estimator: 0 = always succeeding, 1 = always failing."""
 
-    __slots__ = ("_alpha", "ewma", "samples")
+    __slots__ = ("ewma", "samples")
 
-    def __init__(self, alpha: float) -> None:
-        self._alpha = alpha
+    def __init__(self) -> None:
         self.ewma = 0.0
         self.samples = 0
 
     def update(self, success: bool) -> float:
         x = 0.0 if success else 1.0
-        self.ewma = (1.0 - self._alpha) * self.ewma + self._alpha * x
+        self.ewma = (1.0 - ALPHA) * self.ewma + ALPHA * x
         self.samples += 1
         return self.ewma
 
@@ -200,7 +190,7 @@ class CircuitBreaker:
     ) -> None:
         self.service_id = service_id
         self._config = config
-        self._detector = FailureDetector(config.alpha)
+        self._detector = FailureDetector()
         self._state = BreakerState.CLOSED
         self._opens = 0
         self._open_until = 0.0
@@ -254,7 +244,7 @@ class CircuitBreaker:
             ):
                 self._open(now, f"ewma {ewma:.3f} crossed threshold")
         elif self._state is BreakerState.HALF_OPEN:
-            if self._probes_used >= self._config.probe_quota:
+            if self._probes_used >= PROBE_QUOTA:
                 # Quota already spent without a verdict; tick() or a
                 # prior report has re-opened by then, but guard anyway.
                 return
@@ -266,14 +256,14 @@ class CircuitBreaker:
                 return
             self._probe_streak += 1
             if (
-                self._probe_streak >= self._config.probes_to_close
-                and ewma <= self._config.close_threshold
+                self._probe_streak >= PROBES_TO_CLOSE
+                and ewma <= CLOSE_THRESHOLD
             ):
                 self._detector.reset()
                 self._transition(
                     BreakerState.CLOSED, now, "probes recovered"
                 )
-            elif self._probes_used >= self._config.probe_quota:
+            elif self._probes_used >= PROBE_QUOTA:
                 self._open(now, "probe quota exhausted without recovery")
         # OPEN: reports from straggling in-flight sessions are ignored —
         # the service is masked; only the cooldown earns it probes.

@@ -43,6 +43,12 @@ from repro.workloads.scenario import Scenario
 
 __all__ = ["LoadgenConfig", "RequestOutcome", "LoadgenReport", "run_loadgen"]
 
+#: The ``client`` every request body names (the gateway's rate-limit key).
+_CLIENT = "loadgen"
+#: Cap on any single retry delay; a server ``Retry-After`` is honored up
+#: to this cap.
+RETRY_BACKOFF_MAX_S = 2.0
+
 
 @dataclass(frozen=True)
 class LoadgenConfig:
@@ -57,7 +63,6 @@ class LoadgenConfig:
     distinct: int = 16
     #: Deadline carried by every request (``None`` = server default).
     deadline_ms: Optional[float] = 250.0
-    client: str = "loadgen"
     #: Client-side cap on waiting for any single response.
     timeout_s: float = 10.0
     #: Route each request to the worker owning its device-class shard
@@ -75,9 +80,6 @@ class LoadgenConfig:
     retries: int = 0
     #: Base delay of the seeded jittered exponential backoff.
     retry_backoff_s: float = 0.05
-    #: Cap on any single retry delay; a server ``Retry-After`` is
-    #: honored up to this cap.
-    retry_backoff_max_s: float = 2.0
     #: When > 0, each request is a ``POST /plan-group`` batching this
     #: many consecutive device classes as one receiver-class set (one
     #: session per class); 0 keeps the classic per-session ``/plan``
@@ -448,7 +450,7 @@ def _request_bodies(
                 for offset in range(config.group_size)
             ]
             payload: Dict = {
-                "client": config.client,
+                "client": _CLIENT,
                 "receivers": [
                     {
                         "class_id": variant.device_id,
@@ -466,7 +468,7 @@ def _request_bodies(
         return bodies
     def body_for(variant: DeviceProfile) -> Tuple[bytes, str]:
         payload = {
-            "client": config.client,
+            "client": _CLIENT,
             "device": profile_to_dict(variant),
         }
         if config.deadline_ms is not None:
@@ -645,12 +647,12 @@ def _retry_schedule(config: LoadgenConfig, index: int) -> List[float]:
 
     Each request gets its own stream keyed ``(seed, index)``; attempt
     ``k`` waits ``base * 2^k`` scaled by a jitter factor in [0.5, 1.5),
-    capped at ``retry_backoff_max_s``.
+    capped at :data:`RETRY_BACKOFF_MAX_S`.
     """
     rng = random.Random(f"{config.seed}:retry:{index}")
     return [
         min(
-            config.retry_backoff_max_s,
+            RETRY_BACKOFF_MAX_S,
             config.retry_backoff_s * (2.0 ** attempt) * (0.5 + rng.random()),
         )
         for attempt in range(config.retries)
@@ -679,9 +681,9 @@ async def _fire_with_retries(
         if not _retryable(outcome):
             break
         # Honor the server's Retry-After when it is longer than the
-        # scheduled backoff, up to the configured cap.
+        # scheduled backoff, up to the same cap.
         await asyncio.sleep(
-            max(delay, min(outcome.retry_after_s, config.retry_backoff_max_s))
+            max(delay, min(outcome.retry_after_s, RETRY_BACKOFF_MAX_S))
         )
         outcome = await _fire_one(config, index, body, hint, port)
         attempts += 1
@@ -696,10 +698,8 @@ async def run_loadgen(
         raise ValidationError("loadgen needs requests >= 1")
     if config.retries < 0:
         raise ValidationError("retries must be >= 0")
-    if config.retries and (
-        config.retry_backoff_s <= 0 or config.retry_backoff_max_s <= 0
-    ):
-        raise ValidationError("retry backoff delays must be positive")
+    if config.retries and config.retry_backoff_s <= 0:
+        raise ValidationError("retry backoff delay must be positive")
     if config.group_size < 0:
         raise ValidationError("group_size must be >= 0")
     if config.group_size > config.distinct:

@@ -5,14 +5,6 @@ locking is needed; a snapshot is therefore always internally consistent.
 Export goes through :func:`repro.runtime.metrics.metrics_document`, the
 same envelope the planner and simulator reports use — one schema for
 every metrics surface in the repo.
-
-The histogram implementation itself lives in
-:mod:`repro.runtime.metrics` (re-exported here for compatibility): the
-cluster supervisor merges worker histograms bucket-wise from their JSON
-exports, so construction, export, and merge must share one definition.
-Histograms are fixed-bucket (cumulative counts are derivable by the
-consumer); bounds and counts export as parallel arrays so sorted-key JSON
-cannot scramble bucket order.
 """
 
 from __future__ import annotations
@@ -22,7 +14,6 @@ from typing import Any, Dict, Mapping, Optional
 from repro.runtime.metrics import Histogram, metrics_document
 
 __all__ = [
-    "Histogram",
     "GatewayMetrics",
     "LATENCY_BUCKETS_MS",
     "SATISFACTION_BUCKETS",

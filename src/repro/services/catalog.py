@@ -46,8 +46,8 @@ class ServiceCatalog:
         """Monotonic mutation counter.
 
         Bumped by every successful :meth:`add` / :meth:`remove`.  Plan
-        fingerprints embed this counter, so any catalog change invalidates
-        every cached plan computed against the old contents.
+        fingerprints hash the catalog's content, not this counter; a bump
+        only tells the fingerprint's digest memo to re-digest it.
         """
         return self._generation
 

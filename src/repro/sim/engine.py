@@ -132,22 +132,15 @@ class Simulator:
     # ------------------------------------------------------------------
     # The run loop
     # ------------------------------------------------------------------
-    def run(
-        self,
-        until_s: Optional[float] = None,
-        max_events: Optional[int] = None,
-    ) -> int:
+    def run(self, until_s: Optional[float] = None) -> int:
         """Pop and execute events until the heap drains.
 
         ``until_s`` stops the clock after the last event at or before that
-        time (later events stay queued); ``max_events`` bounds the number
-        of events executed by this call.  Returns how many events this
+        time (later events stay queued).  Returns how many events this
         call processed.
         """
         processed = 0
         while self._heap:
-            if max_events is not None and processed >= max_events:
-                break
             if until_s is not None and self._heap[0][0] > until_s + 1e-9:
                 break
             time_s, _priority, _seq, _kind, action = heapq.heappop(self._heap)

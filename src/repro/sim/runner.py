@@ -31,6 +31,9 @@ from repro.workloads.scenario import Scenario
 
 __all__ = ["SimulationConfig", "SimulationRun", "run_simulation"]
 
+#: Fractional half-width of the per-session duration jitter.
+DURATION_JITTER = 0.25
+
 
 @dataclass
 class SimulationConfig:
@@ -46,16 +49,9 @@ class SimulationConfig:
     arrivals: ArrivalProcess = field(
         default_factory=lambda: UniformArrivals(over_s=60.0)
     )
-    #: Mean session length; per-session lengths jitter around it.
+    #: Mean session length; per-session lengths jitter around it by
+    #: :data:`DURATION_JITTER`.
     session_duration_s: float = 30.0
-    #: Fractional half-width of the duration jitter (0 = fixed length).
-    duration_jitter: float = 0.25
-    segment_s: float = 2.0
-    replan_threshold: float = 0.8
-    stall_satisfaction: float = 0.01
-    #: Consecutive stalled segments before a viewer walks away (0 = never).
-    abandon_after_stalls: int = 3
-    admission_floor: float = 0.0
     faults: Tuple[FaultInjector, ...] = ()
     #: Attach a per-service failure detector + circuit breaker registry;
     #: quarantined (OPEN) services are masked out of the planning view
@@ -65,7 +61,6 @@ class SimulationConfig:
     horizon_s: Optional[float] = None
     #: Ring-buffer bound for the trace (None = unbounded).
     trace_capacity: Optional[int] = None
-    max_events: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.sessions < 0:
@@ -74,18 +69,6 @@ class SimulationConfig:
             raise ValidationError("need at least one device class")
         if self.session_duration_s <= 0:
             raise ValidationError("session duration must be positive")
-        if not 0.0 <= self.duration_jitter < 1.0:
-            raise ValidationError("duration jitter must lie in [0, 1)")
-        if self.segment_s <= 0:
-            raise ValidationError("segment length must be positive")
-        if not 0.0 < self.replan_threshold <= 1.0:
-            raise ValidationError("replan threshold must lie in (0, 1]")
-        if not 0.0 <= self.admission_floor <= 1.0:
-            raise ValidationError("admission floor must lie in [0, 1]")
-        if not 0.0 <= self.stall_satisfaction <= 1.0:
-            raise ValidationError("stall satisfaction must lie in [0, 1]")
-        if self.abandon_after_stalls < 0:
-            raise ValidationError("abandon_after_stalls must be >= 0")
 
 
 class SimulationRun:
@@ -125,11 +108,9 @@ class SimulationRun:
         )
 
     def _next_duration(self) -> float:
-        base = self.config.session_duration_s
-        jitter = self.config.duration_jitter
-        if jitter <= 0:
-            return base
-        return base * (1.0 + jitter * (2.0 * self._duration_rng.random() - 1.0))
+        return self.config.session_duration_s * (
+            1.0 + DURATION_JITTER * (2.0 * self._duration_rng.random() - 1.0)
+        )
 
     def add_session(self, at_s: float) -> SimSession:
         """Create one session and schedule its arrival.
@@ -139,7 +120,6 @@ class SimulationRun:
         shared request/duration streams keep the whole population
         deterministic regardless of who adds the session.
         """
-        config = self.config
         session = SimSession(
             session_id=next(self._session_ids),
             request=self._next_request(),
@@ -148,11 +128,6 @@ class SimulationRun:
             sim=self.sim,
             world=self.world,
             on_done=self.outcomes.append,
-            segment_s=config.segment_s,
-            replan_threshold=config.replan_threshold,
-            stall_satisfaction=config.stall_satisfaction,
-            abandon_after_stalls=config.abandon_after_stalls,
-            admission_floor=config.admission_floor,
         )
         self._sessions.append(session)
         self.sim.schedule_at(at_s, session.on_arrival, kind="arrival")
@@ -163,8 +138,8 @@ class SimulationRun:
     # ------------------------------------------------------------------
     def execute(self) -> SimReport:
         config = self.config
-        self.sim.run(until_s=config.horizon_s, max_events=config.max_events)
-        # Sessions cut off by the horizon (or event cap) finalize as
+        self.sim.run(until_s=config.horizon_s)
+        # Sessions cut off by the horizon finalize as
         # truncated; sessions whose arrival never fired are simply absent.
         for session in self._sessions:
             if session.started and not session.done:

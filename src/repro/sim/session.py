@@ -8,7 +8,7 @@ advances only when the simulator fires one of its events:
 
 - **arrival** — plan against the effective residual infrastructure and
   reserve the chain's bandwidth, or be rejected;
-- **segment ticks** — every ``segment_s`` virtual seconds, observe the
+- **segment ticks** — every :data:`SEGMENT_S` virtual seconds, observe the
   satisfaction the current chain actually delivers under the fault
   overlay, accumulate QoE, and trigger a replan when delivery falls below
   the replan floor (or the chain breaks outright — a crashed service or a
@@ -17,7 +17,7 @@ advances only when the simulator fires one of its events:
   :class:`~repro.sim.report.SessionOutcome`.
 
 Failure is data, never an exception: a session that cannot replan stalls,
-retries on later ticks, and — after ``abandon_after_stalls`` consecutive
+retries on later ticks, and — after :data:`ABANDON_AFTER_STALLS` consecutive
 stalled segments — abandons, exactly the degradation taxonomy the report
 aggregates.
 """
@@ -45,6 +45,17 @@ from repro.sim.world import SimWorld
 
 __all__ = ["SimSession"]
 
+#: Virtual seconds between a session's segment ticks.
+SEGMENT_S = 2.0
+#: Fraction of the planned satisfaction below which a tick replans.
+REPLAN_THRESHOLD = 0.8
+#: Observed satisfaction at or below which a segment counts as stalled.
+STALL_SATISFACTION = 0.01
+#: Consecutive stalled segments before a viewer walks away.
+ABANDON_AFTER_STALLS = 3
+#: Satisfaction an arrival's plan must reach to be admitted.
+ADMISSION_FLOOR = 0.0
+
 
 class SimSession:
     """State machine for one session over the shared world."""
@@ -58,11 +69,6 @@ class SimSession:
         sim: Simulator,
         world: SimWorld,
         on_done: Callable[[SessionOutcome], None],
-        segment_s: float = 2.0,
-        replan_threshold: float = 0.8,
-        stall_satisfaction: float = 0.01,
-        abandon_after_stalls: int = 0,
-        admission_floor: float = 0.0,
     ) -> None:
         self.session_id = session_id
         self._request = request
@@ -71,11 +77,6 @@ class SimSession:
         self._sim = sim
         self._world = world
         self._on_done = on_done
-        self._segment_s = segment_s
-        self._replan_threshold = replan_threshold
-        self._stall_floor = stall_satisfaction
-        self._abandon_after = abandon_after_stalls
-        self._admission_floor = admission_floor
         self._satisfaction = request.user.satisfaction(request.peer)
 
         # Streaming state
@@ -114,7 +115,7 @@ class SimSession:
     def on_arrival(self) -> None:
         admission = self._world.admit(
             self._request,
-            self._admission_floor,
+            ADMISSION_FLOOR,
             label=f"session-{self.session_id}",
         )
         if not admission.admitted:
@@ -155,7 +156,7 @@ class SimSession:
                 0.0 if gray_failed is not None else self._observe(fraction)
             )
             self._integrate(observed, interval)
-            floor = self._replan_threshold * self._current_planned_sat
+            floor = REPLAN_THRESHOLD * self._current_planned_sat
             if fraction <= 0.0:
                 self._interruptions += 1
                 self._sim.record(
@@ -185,10 +186,7 @@ class SimSession:
             self._integrate(0.0, interval)
             self._try_acquire()
 
-        if (
-            self._abandon_after > 0
-            and self._consecutive_stalls >= self._abandon_after
-        ):
+        if self._consecutive_stalls >= ABANDON_AFTER_STALLS:
             if self._leases:
                 self._world.release(self._leases)
                 self._leases = []
@@ -237,12 +235,12 @@ class SimSession:
             return
         self._weighted_satisfaction += observed * interval
         self._observed_s += interval
-        if observed <= self._stall_floor:
+        if observed <= STALL_SATISFACTION:
             self._stall_s += interval
             self._consecutive_stalls += 1
         else:
             self._consecutive_stalls = 0
-            if observed + 1e-12 < self._replan_threshold * self._current_planned_sat:
+            if observed + 1e-12 < REPLAN_THRESHOLD * self._current_planned_sat:
                 self._degraded_s += interval
 
     # ------------------------------------------------------------------
@@ -389,5 +387,5 @@ class SimSession:
         )
 
     def _schedule_tick(self) -> None:
-        next_tick = min(self._end_s, self._sim.now + self._segment_s)
+        next_tick = min(self._end_s, self._sim.now + SEGMENT_S)
         self._sim.schedule_at(next_tick, self.on_tick, kind="segment")

@@ -52,6 +52,11 @@ __all__ = ["SyntheticConfig", "generate_scenario"]
 
 _RESOLUTIONS = [176.0 * 144.0, 320.0 * 240.0, 640.0 * 480.0]
 _DEPTHS = [8.0, 16.0, 24.0]
+#: Link bandwidths are drawn uniformly from this range (bits/second).
+_MIN_BANDWIDTH_BPS = 1e6
+_MAX_BANDWIDTH_BPS = 20e6
+#: The synthetic user's budget.
+_BUDGET = 1_000.0
 
 
 @dataclass(frozen=True)
@@ -64,10 +69,7 @@ class SyntheticConfig:
     n_nodes: int = 10
     extra_links: int = 8
     backbone_hops: int = 3
-    min_bandwidth_bps: float = 1e6
-    max_bandwidth_bps: float = 20e6
     max_service_cost: float = 4.0
-    budget: float = 1_000.0
     #: "single": frame-rate-only preferences (the paper's example shape);
     #: "rich": frame rate + resolution preferences with free color depth.
     preference_mode: str = "single"
@@ -245,7 +247,7 @@ def _make_topology(rng: random.Random, config: SyntheticConfig) -> NetworkTopolo
         topology.link(
             a,
             b,
-            bandwidth_bps=rng.uniform(config.min_bandwidth_bps, config.max_bandwidth_bps),
+            bandwidth_bps=rng.uniform(_MIN_BANDWIDTH_BPS, _MAX_BANDWIDTH_BPS),
             delay_ms=rng.uniform(1.0, 30.0),
             loss_rate=rng.uniform(0.0, 0.02),
             cost=rng.uniform(0.0, 0.5),
@@ -298,6 +300,6 @@ def _make_preferences(rng: random.Random, config: SyntheticConfig):
     user = UserProfile(
         user_id=f"synthetic-user-{config.seed}",
         satisfaction_functions=functions,
-        budget=config.budget,
+        budget=_BUDGET,
     )
     return parameters, user

@@ -29,6 +29,7 @@ from repro.serve import (
     LoadgenConfig,
     run_loadgen,
 )
+from repro.serve import cluster
 from repro.serve.http11 import read_response, render_request
 from repro.serve.loadgen import _request_bodies
 from repro.serve.protocol import encode_payload
@@ -62,22 +63,17 @@ async def request(port, method, path, payload=None, headers=None):
 
 
 def run_with_cluster(
-    coro_factory, workers=2, scenario_path=None, cluster_overrides=None,
-    **gateway_overrides,
+    coro_factory, workers=2, scenario_path=None, **gateway_overrides
 ):
     """Boot a cluster, run ``coro_factory(supervisor)``, always drain."""
     gateway_defaults = dict(port=0, workers=2)
     gateway_defaults.update(gateway_overrides)
-    cluster_defaults = dict(
-        workers=workers, admin_port=0, restart_backoff_s=0.05
-    )
-    cluster_defaults.update(cluster_overrides or {})
 
     async def scenario():
         supervisor = ClusterSupervisor(
             SCENARIO,
             gateway_config=GatewayConfig(**gateway_defaults),
-            cluster_config=ClusterConfig(**cluster_defaults),
+            cluster_config=ClusterConfig(workers=workers, admin_port=0),
             scenario_path=scenario_path,
         )
         await supervisor.start()
@@ -540,7 +536,9 @@ class TestHealthPropagation:
 
 
 class TestReloadTimeout:
-    def test_sigstopped_worker_times_out_instead_of_stalling(self):
+    def test_sigstopped_worker_times_out_instead_of_stalling(
+        self, monkeypatch
+    ):
         async def scenario(supervisor):
             entries = await worker_entries(supervisor)
             victim_pid = entries[0]["pid"]
@@ -578,8 +576,6 @@ class TestReloadTimeout:
             # The victim stays SIGSTOPped: drain (in the harness
             # ``finally``) must still complete via SIGKILL escalation.
 
-        run_with_cluster(
-            scenario,
-            cluster_overrides=dict(reload_timeout_s=1.0, drain_margin_s=0.3),
-            drain_grace_s=0.2,
-        )
+        monkeypatch.setattr(cluster, "RELOAD_TIMEOUT_S", 1.0)
+        monkeypatch.setattr(cluster, "DRAIN_MARGIN_S", 0.3)
+        run_with_cluster(scenario, drain_grace_s=0.2)

@@ -142,8 +142,8 @@ class TestSlpAgents:
 
     def test_heartbeat_renews(self):
         directory = DirectoryAgent()
-        agent = ServiceAgent("n1", directory, default_ttl=10.0)
-        agent.register(service("T1"))
+        agent = ServiceAgent("n1", directory)
+        agent.register(service("T1"), ttl=10.0)
         directory.registry.advance(8.0)
         assert agent.heartbeat() == 1
         directory.registry.advance(8.0)
@@ -151,8 +151,8 @@ class TestSlpAgents:
 
     def test_heartbeat_drops_expired(self):
         directory = DirectoryAgent()
-        agent = ServiceAgent("n1", directory, default_ttl=5.0)
-        agent.register(service("T1"))
+        agent = ServiceAgent("n1", directory)
+        agent.register(service("T1"), ttl=5.0)
         directory.registry.advance(6.0)  # expired before any heartbeat
         assert agent.heartbeat() == 0
         # The expired advertisement left the agent's list as well: the

@@ -6,7 +6,7 @@ adversarially rather than by example:
 - only the four legal transitions ever appear in a trace, no matter what
   outcome/time stream drives the breaker (in particular CLOSED ->
   HALF_OPEN and OPEN -> CLOSED never occur);
-- HALF_OPEN consumes at most ``probe_quota`` outcomes before reaching a
+- HALF_OPEN consumes at most ``PROBE_QUOTA`` outcomes before reaching a
   verdict, and exhausting the quota without recovery re-opens;
 - the hysteresis band keeps adversarial alternating outcome streams from
   ever flapping the breaker at the default thresholds;
@@ -19,8 +19,11 @@ adversarially rather than by example:
 
 from __future__ import annotations
 
+from unittest import mock
+
 from hypothesis import given, settings, strategies as st
 
+from repro.serve import health
 from repro.serve.health import (
     BreakerState,
     CircuitBreaker,
@@ -96,43 +99,41 @@ class TestLegalTransitionsOnly:
 
 class TestProbeQuota:
     @given(
-        quota=st.integers(1, 12),
-        probes_to_close=st.integers(1, 12),
+        open_threshold=st.floats(0.4, 0.99),
         extra_successes=st.integers(0, 30),
+        seed=st.integers(0, 2**16),
     )
     @settings(max_examples=150, deadline=None)
     def test_quota_bounds_probes_and_exhaustion_reopens(
-        self, quota, probes_to_close, extra_successes
+        self, open_threshold, extra_successes, seed
     ):
-        if probes_to_close > quota:
-            probes_to_close = quota
-        # close_threshold so low that no probe run inside the quota can
-        # drag the EWMA under it (0.5 * 0.7^12 ~ 0.007 >> 1e-9), so the
-        # only way out of HALF_OPEN is quota exhaustion.
-        config = HealthConfig(
-            alpha=0.3,
-            open_threshold=0.5,
-            close_threshold=1e-9,
-            min_samples=1,
-            cooldown_s=1.0,
-            cooldown_jitter=0.0,
-            probe_quota=quota,
-            probes_to_close=probes_to_close,
-            seed=1,
-        )
-        trace = []
-        breaker = CircuitBreaker("svc", config, trace.append)
-        breaker.report(False, 0.0)
-        breaker.report(False, 0.1)
-        assert breaker.state is BreakerState.OPEN
-        breaker.tick(2.0)
-        assert breaker.state is BreakerState.HALF_OPEN
-        for step in range(quota + extra_successes):
-            breaker.report(True, 2.0 + 0.01 * step)
-            assert breaker.probes_used <= quota
+        # At the constants three straight successes always close (the
+        # EWMA is at most 1, and 0.7**3 < CLOSE_THRESHOLD), so the quota
+        # only runs out under a close threshold no probe run inside the
+        # quota can reach (0.4 * 0.7**8 ~ 0.02 >> 1e-9).
+        with mock.patch.object(health, "CLOSE_THRESHOLD", 1e-9):
+            config = HealthConfig(
+                open_threshold=open_threshold,
+                min_samples=1,
+                cooldown_s=1.0,
+                cooldown_jitter=0.0,
+                seed=seed,
+            )
+            trace = []
+            breaker = CircuitBreaker("svc", config, trace.append)
+            now = 0.0
+            while breaker.state is BreakerState.CLOSED:
+                breaker.report(False, now)
+                now += 0.001
+            breaker.tick(2.0)
+            assert breaker.state is BreakerState.HALF_OPEN
+            for step in range(health.PROBE_QUOTA + extra_successes):
+                breaker.report(True, 2.0 + 0.01 * step)
+                assert breaker.probes_used <= health.PROBE_QUOTA
         # Exhausted without recovery: back to OPEN, never through CLOSED.
         assert breaker.state is BreakerState.OPEN
         assert breaker.opens == 2
+        assert trace[-1].reason == "probe quota exhausted without recovery"
         assert ("half_open", "closed") not in {
             (r.old, r.new) for r in trace
         }
@@ -146,7 +147,7 @@ class TestProbeQuota:
             breaker.report(False, 0.1 * step)
         assert breaker.state is BreakerState.OPEN
         now = breaker.open_until + 0.001
-        for step in range(config.probe_quota):
+        for step in range(health.PROBE_QUOTA):
             if breaker.state is BreakerState.CLOSED:
                 break
             breaker.report(True, now + 0.01 * step)

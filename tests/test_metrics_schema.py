@@ -96,7 +96,6 @@ class TestSimReportEnvelope:
         config = SimulationConfig(
             scenario=scenario, name="schema-test", seed=11, sessions=6,
             arrivals=UniformArrivals(over_s=12.0), session_duration_s=6.0,
-            segment_s=2.0,
         )
         return run_simulation(config)
 

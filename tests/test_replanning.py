@@ -33,7 +33,7 @@ class StepDrop(FluctuationModel):
 
 class TestAdaptiveSessionBasics:
     def test_constant_bandwidth_never_replans(self, fig6):
-        session = AdaptiveSession(fig6, ConstantBandwidth(), check_interval_s=1.0)
+        session = AdaptiveSession(fig6, ConstantBandwidth())
         report = session.run(duration_s=10.0)
         assert report.replans == 0
         assert len(report.segments) == 1
@@ -43,8 +43,6 @@ class TestAdaptiveSessionBasics:
         )
 
     def test_validation(self, fig6):
-        with pytest.raises(ValidationError):
-            AdaptiveSession(fig6, ConstantBandwidth(), check_interval_s=0.0)
         with pytest.raises(ValidationError):
             AdaptiveSession(fig6, ConstantBandwidth(), replan_threshold=0.0)
         session = AdaptiveSession(fig6, ConstantBandwidth())
@@ -63,9 +61,7 @@ class TestReplanOnDrop:
         """When T7's host degrades at t=5 (both its links collapse), the
         session re-plans onto the next best chain (via T8)."""
         drop = StepDrop(at_s=5.0, drop_to=0.05, endpoints=[{"n7", "nr"}, {"ns", "n7"}])
-        session = AdaptiveSession(
-            fig6, drop, check_interval_s=1.0, replan_threshold=0.9
-        )
+        session = AdaptiveSession(fig6, drop, replan_threshold=0.9)
         report = session.run(duration_s=12.0)
         assert report.replans == 1
         chains = report.chains_used()
@@ -76,18 +72,14 @@ class TestReplanOnDrop:
 
     def test_switch_restores_satisfaction(self, fig6):
         drop = StepDrop(at_s=5.0, drop_to=0.05, endpoints=[{"n7", "nr"}, {"ns", "n7"}])
-        adaptive = AdaptiveSession(
-            fig6, drop, check_interval_s=1.0, replan_threshold=0.9
-        )
+        adaptive = AdaptiveSession(fig6, drop, replan_threshold=0.9)
         report = adaptive.run(duration_s=20.0)
         final = report.segments[-1]
         # The T8 chain delivers 16 fps -> 0.533 under the unchanged links.
         assert final.planned_satisfaction == pytest.approx(16.0 / 30.0, abs=1e-6)
 
         # Without re-planning, the observed satisfaction stays collapsed.
-        stuck = AdaptiveSession(
-            fig6, drop, check_interval_s=1.0, replan_threshold=0.01
-        )
+        stuck = AdaptiveSession(fig6, drop, replan_threshold=0.01)
         stuck_report = stuck.run(duration_s=20.0)
         assert stuck_report.replans == 0
         assert (
@@ -100,9 +92,7 @@ class TestReplanOnDrop:
         switch to — the replan attempts fail and the session stays on the
         (still best) original chain, recording the degraded reality."""
         drop = StepDrop(at_s=3.0, drop_to=0.5)  # everything halves
-        session = AdaptiveSession(
-            fig6, drop, check_interval_s=1.0, replan_threshold=0.9
-        )
+        session = AdaptiveSession(fig6, drop, replan_threshold=0.9)
         report = session.run(duration_s=8.0)
         assert report.failed_replans >= 1
         assert report.replans == 0
@@ -113,9 +103,7 @@ class TestReplanOnDrop:
 
     def test_events_tell_the_story(self, fig6):
         drop = StepDrop(at_s=5.0, drop_to=0.05, endpoints=[{"n7", "nr"}, {"ns", "n7"}])
-        session = AdaptiveSession(
-            fig6, drop, check_interval_s=1.0, replan_threshold=0.9
-        )
+        session = AdaptiveSession(fig6, drop, replan_threshold=0.9)
         report = session.run(duration_s=8.0)
         categories = [event.category for event in report.events]
         assert categories[0] == "plan"
@@ -130,9 +118,7 @@ class TestNoFeasibleAlternative:
         must keep running, record the failures, and finish degraded — an
         uncaught exception here would kill a live deployment loop."""
         drop = StepDrop(at_s=3.0, drop_to=0.0)
-        session = AdaptiveSession(
-            fig6, drop, check_interval_s=1.0, replan_threshold=0.9
-        )
+        session = AdaptiveSession(fig6, drop, replan_threshold=0.9)
         report = session.run(duration_s=8.0)  # must not raise
         assert report.replans == 0
         assert report.failed_replans >= 5
@@ -147,9 +133,7 @@ class TestNoFeasibleAlternative:
     def test_total_link_death_on_synthetic(self):
         scenario = generate_scenario(SyntheticConfig(seed=4, n_services=15))
         drop = StepDrop(at_s=2.0, drop_to=0.0)
-        session = AdaptiveSession(
-            scenario, drop, check_interval_s=1.0, replan_threshold=0.9
-        )
+        session = AdaptiveSession(scenario, drop, replan_threshold=0.9)
         report = session.run(duration_s=6.0)  # must not raise
         assert report.failed_replans >= 1
         assert report.segments[-1].end_s == pytest.approx(6.0)
@@ -178,9 +162,7 @@ class TestSnapshot:
 class TestReportAccounting:
     def test_segments_cover_the_session(self, fig6):
         drop = StepDrop(at_s=4.0, drop_to=0.05, endpoints=[{"n7", "nr"}, {"ns", "n7"}])
-        session = AdaptiveSession(
-            fig6, drop, check_interval_s=1.0, replan_threshold=0.9
-        )
+        session = AdaptiveSession(fig6, drop, replan_threshold=0.9)
         duration = 10.0
         report = session.run(duration_s=duration)
         assert report.segments[0].start_s == 0.0
@@ -194,9 +176,7 @@ class TestReportAccounting:
     def test_on_synthetic_scenarios(self):
         scenario = generate_scenario(SyntheticConfig(seed=4, n_services=15))
         drop = StepDrop(at_s=3.0, drop_to=0.3)
-        session = AdaptiveSession(
-            scenario, drop, check_interval_s=1.0, replan_threshold=0.85
-        )
+        session = AdaptiveSession(scenario, drop, replan_threshold=0.85)
         report = session.run(duration_s=8.0)
         assert report.segments
         assert report.segments[-1].end_s == pytest.approx(8.0)

@@ -28,6 +28,7 @@ from repro.serve import (
     run_loadgen,
 )
 from repro.serve.http11 import read_response, render_request
+from repro.serve import loadgen
 from repro.serve.loadgen import RequestOutcome, _retry_schedule
 from repro.serve.protocol import encode_payload
 from repro.workloads.synthetic import SyntheticConfig, generate_scenario
@@ -306,9 +307,7 @@ class TestLoadgenRetries:
         assert first == second
         assert len(first) == 4
         assert all(delay > 0 for delay in first)
-        assert all(
-            delay <= config.retry_backoff_max_s for delay in first
-        )
+        assert all(delay <= loadgen.RETRY_BACKOFF_MAX_S for delay in first)
         # Distinct requests back off on distinct jitter streams.
         assert _retry_schedule(config, 4) != first
         assert (
@@ -336,7 +335,11 @@ class TestLoadgenRetries:
                 )
             )
 
-    def test_retries_recover_shed_requests_against_rate_limit(self):
+    def test_retries_recover_shed_requests_against_rate_limit(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(loadgen, "RETRY_BACKOFF_MAX_S", 0.2)
+
         async def scenario():
             gateway = PlanningGateway(
                 SCENARIO,
@@ -362,7 +365,6 @@ class TestLoadgenRetries:
                         **base,
                         retries=3,
                         retry_backoff_s=0.02,
-                        retry_backoff_max_s=0.2,
                     ),
                 )
                 return single, retrying

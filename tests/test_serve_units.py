@@ -17,6 +17,8 @@ import pytest
 
 from repro.errors import GatewayProtocolError, ValidationError
 from repro.profiles.serialization import profile_to_dict
+from repro.runtime.metrics import Histogram
+from repro.serve import admission
 from repro.serve.admission import DeadlineQueue, RateLimiter, TokenBucket
 from repro.serve.http11 import (
     read_request,
@@ -24,7 +26,6 @@ from repro.serve.http11 import (
     render_request,
     render_response,
 )
-from repro.serve.metrics import Histogram
 from repro.serve.protocol import (
     decode_plan_request,
     encode_payload,
@@ -183,8 +184,9 @@ class TestRateLimiter:
         # Disabled limiting ignores burst entirely.
         assert not RateLimiter(rate_per_s=0.0, burst=0.0).enabled
 
-    def test_client_table_bounded_by_evicting_oldest(self):
-        limiter = RateLimiter(rate_per_s=1.0, burst=1, max_clients=2)
+    def test_client_table_bounded_by_evicting_oldest(self, monkeypatch):
+        monkeypatch.setattr(admission, "MAX_CLIENTS", 2)
+        limiter = RateLimiter(rate_per_s=1.0, burst=1)
         limiter.check("old", 0.0)
         limiter.check("mid", 1.0)
         limiter.check("new", 2.0)  # evicts "old"

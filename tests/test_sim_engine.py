@@ -73,14 +73,6 @@ class TestRunBounds:
         assert fired == [1]
         assert sim.pending == 1
 
-    def test_max_events_caps_processing(self):
-        sim = Simulator()
-        for t in range(5):
-            sim.schedule_at(float(t), lambda: None)
-        processed = sim.run(max_events=3)
-        assert processed == 3
-        assert sim.pending == 2
-
 
 class TestTrace:
     def test_digest_covers_all_events_despite_ring(self):

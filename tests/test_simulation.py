@@ -58,8 +58,6 @@ def small_config(small_scenario, **overrides):
         sessions=12,
         arrivals=UniformArrivals(over_s=20.0),
         session_duration_s=10.0,
-        duration_jitter=0.2,
-        segment_s=2.0,
     )
     defaults.update(overrides)
     return SimulationConfig(**defaults)
@@ -201,7 +199,6 @@ class TestFaults:
                 sessions=6,
                 arrivals=UniformArrivals(over_s=1.0),
                 session_duration_s=15.0,
-                abandon_after_stalls=2,
                 faults=faults,
             )
         )
@@ -408,31 +405,6 @@ class TestConfigValidation:
             SimulationConfig(scenario=small_scenario, device_classes=0)
         with pytest.raises(ValidationError):
             SimulationConfig(scenario=small_scenario, session_duration_s=0.0)
-        with pytest.raises(ValidationError):
-            SimulationConfig(scenario=small_scenario, duration_jitter=1.5)
-        with pytest.raises(ValidationError):
-            SimulationConfig(scenario=small_scenario, segment_s=0.0)
-        for bad in (
-            dict(replan_threshold=0.0),
-            dict(replan_threshold=1.5),
-            dict(replan_threshold=math.nan),
-            dict(admission_floor=-0.1),
-            dict(admission_floor=1.5),
-            dict(stall_satisfaction=-0.1),
-            dict(stall_satisfaction=1.5),
-            dict(abandon_after_stalls=-1),
-        ):
-            with pytest.raises(ValidationError):
-                SimulationConfig(scenario=small_scenario, **bad)
-        # The closed ends are legal: replan only below the plan, admit
-        # anything or only perfect plans, never abandon.
-        SimulationConfig(
-            scenario=small_scenario,
-            replan_threshold=1.0,
-            admission_floor=1.0,
-            stall_satisfaction=0.0,
-            abandon_after_stalls=0,
-        )
 
     def test_unknown_scenario_name(self):
         with pytest.raises(ValidationError):
