@@ -26,14 +26,9 @@ from __future__ import annotations
 import asyncio
 import os
 
-from repro.serve import (
-    ClusterConfig,
-    ClusterSupervisor,
-    GatewayConfig,
-    LoadgenConfig,
-    PlanningGateway,
-    run_loadgen,
-)
+from repro.serve.cluster import ClusterConfig, ClusterSupervisor
+from repro.serve.gateway import GatewayConfig, PlanningGateway
+from repro.serve.loadgen import LoadgenConfig, run_loadgen
 from repro.workloads.synthetic import SyntheticConfig, generate_scenario
 
 from conftest import format_table

@@ -24,12 +24,8 @@ from __future__ import annotations
 import asyncio
 import os
 
-from repro.serve import (
-    GatewayConfig,
-    LoadgenConfig,
-    PlanningGateway,
-    run_loadgen,
-)
+from repro.serve.gateway import GatewayConfig, PlanningGateway
+from repro.serve.loadgen import LoadgenConfig, run_loadgen
 from repro.workloads.synthetic import SyntheticConfig, generate_scenario
 
 from conftest import format_table

@@ -18,13 +18,9 @@ Run:
 import asyncio
 import json
 
-from repro.serve import (
-    GatewayConfig,
-    LoadgenConfig,
-    PlanningGateway,
-    run_loadgen,
-)
+from repro.serve.gateway import GatewayConfig, PlanningGateway
 from repro.serve.http11 import read_response, render_request
+from repro.serve.loadgen import LoadgenConfig, run_loadgen
 from repro.serve.protocol import encode_payload
 from repro.workloads.synthetic import SyntheticConfig, generate_scenario
 

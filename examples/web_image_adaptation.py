@@ -39,7 +39,8 @@ def main() -> None:
     )
 
     # Actually run the image through the synthetic transcoders.
-    chain = build_chain(scenario.build_graph(), result)
+    graph = scenario.build_graph()
+    chain = build_chain(graph.services_along(result.path), result)
     photo = scenario.content.variant_for("jpeg-256c")
     delivered = chain.execute(photo, scenario.registry)
     print(f"\n  executed: {photo} -> {delivered} "

@@ -357,13 +357,8 @@ def cmd_serve(args: argparse.Namespace, out) -> int:
     import asyncio
     import json
 
-    from repro.serve import (
-        ClusterConfig,
-        ClusterSupervisor,
-        GatewayConfig,
-        HealthConfig,
-        PlanningGateway,
-    )
+    from repro.serve.gateway import GatewayConfig, PlanningGateway
+    from repro.serve.health import HealthConfig
 
     if args.workers < 1:
         print(f"error: --workers must be >= 1, got {args.workers}", file=out)
@@ -422,6 +417,9 @@ def cmd_serve(args: argparse.Namespace, out) -> int:
 
         final = asyncio.run(gateway.run(on_ready=announce))
     else:
+        # Only a cluster needs the supervisor (and multiprocessing).
+        from repro.serve.cluster import ClusterConfig, ClusterSupervisor
+
         admin_port = args.admin_port
         if admin_port is None:
             # Ephemeral shared port → ephemeral admin port; otherwise the
@@ -467,7 +465,7 @@ def cmd_loadgen(args: argparse.Namespace, out) -> int:
     import asyncio
     import json
 
-    from repro.serve import LoadgenConfig, run_loadgen
+    from repro.serve.loadgen import LoadgenConfig, run_loadgen
 
     scenario = _serving_scenario(args, out)
     if scenario is None:

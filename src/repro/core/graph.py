@@ -183,6 +183,10 @@ class AdaptationGraph:
         except KeyError:
             raise UnknownServiceError(service_id) from None
 
+    def services_along(self, path: Sequence[str]) -> Tuple[ServiceDescriptor, ...]:
+        """The service descriptors of ``path``'s vertices, in path order."""
+        return tuple(self.vertex(service_id).service for service_id in path)
+
     def vertices(self) -> List[Vertex]:
         """All vertices in natural service-id order."""
         return [self._vertices[service_id] for service_id in self._ordered_ids]

@@ -50,6 +50,7 @@ from repro.formats.format import MediaFormat
 from repro.formats.registry import FormatRegistry
 from repro.profiles.user import UserProfile
 from repro.services.chains import AdaptationChain, ChainHop
+from repro.services.descriptor import ServiceDescriptor
 
 __all__ = [
     "TieBreakPolicy",
@@ -602,13 +603,20 @@ class QoSPathSelector:
         )
 
 
-def build_chain(graph: AdaptationGraph, result: SelectionResult) -> AdaptationChain:
-    """Materialize a selector result as an executable adaptation chain."""
+def build_chain(
+    services: Sequence[ServiceDescriptor], result: SelectionResult
+) -> AdaptationChain:
+    """Materialize a selector result as an executable adaptation chain.
+
+    ``services`` are the descriptors along ``result.path``
+    (:meth:`~repro.core.graph.AdaptationGraph.services_along`), sender
+    first.
+    """
     if not result.success:
         raise NoPathError("cannot build a chain from a FAILURE result")
-    hops = [ChainHop(graph.vertex(result.path[0]).service, None)]
+    hops = [ChainHop(services[0], None)]
     hops.extend(
-        ChainHop(graph.vertex(service_id).service, fmt)
-        for service_id, fmt in zip(result.path[1:], result.formats)
+        ChainHop(service, fmt)
+        for service, fmt in zip(services[1:], result.formats)
     )
     return AdaptationChain(hops)

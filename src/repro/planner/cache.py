@@ -5,7 +5,10 @@ The cache memoizes fully planned sessions by request fingerprint
 properties matter for serving heavy concurrent traffic:
 
 - **LRU bound** — at most ``max_entries`` plans are retained; the least
-  recently used entry is evicted first.
+  recently used entry is evicted first.  A plan holds its selector
+  result and the descriptors along its path, not the adaptation graph
+  it was selected on (:class:`~repro.runtime.session.SessionPlan`), so
+  an entry costs a couple of KB rather than the tens of KB of a graph.
 - **Single-flight** — when many threads miss on the same fingerprint
   simultaneously, exactly one computes the plan; the rest wait on an event
   and then read the freshly inserted entry.  This removes the thundering

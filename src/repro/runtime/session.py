@@ -17,13 +17,9 @@ it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
-from repro.core.graph import (
-    AdaptationGraph,
-    AdaptationGraphBuilder,
-    CatalogView,
-)
+from repro.core.graph import AdaptationGraphBuilder, CatalogView
 from repro.core.parameters import ParameterSet
 from repro.core.pruning import GraphPruner, PruningReport
 from repro.core.selection import (
@@ -44,6 +40,7 @@ from repro.runtime.metrics import DeliveryReport
 from repro.runtime.pipeline import DeliveryPipeline
 from repro.services.catalog import ServiceCatalog
 from repro.services.chains import AdaptationChain
+from repro.services.descriptor import ServiceDescriptor
 
 __all__ = ["PlanRequest", "SessionPlan", "AdaptationSession"]
 
@@ -63,11 +60,18 @@ class PlanRequest:
 
 @dataclass(frozen=True)
 class SessionPlan:
-    """Everything the planning phase produced."""
+    """What the planning phase keeps: the selector's answer and the
+    pruning counts, plus the service descriptors along ``result.path``
+    (sender and receiver included; empty on FAILURE) that :meth:`chain`
+    needs.
 
-    graph: AdaptationGraph
+    The adaptation graph is scaffolding for one selector run and is not
+    kept: a cached or held plan costs its chain, not its graph.
+    """
+
     pruning: PruningReport
     result: SelectionResult
+    services: Tuple[ServiceDescriptor, ...]
 
     @property
     def success(self) -> bool:
@@ -75,7 +79,7 @@ class SessionPlan:
 
     def chain(self) -> AdaptationChain:
         """The selected chain as an executable object (success only)."""
-        return build_chain(self.graph, self.result)
+        return build_chain(self.services, self.result)
 
 
 class AdaptationSession:
@@ -149,7 +153,11 @@ class AdaptationSession:
             optimize_memo=self._optimize_memo,
         )
         result = selector.run()
-        return SessionPlan(graph=graph, pruning=report, result=result)
+        return SessionPlan(
+            pruning=report,
+            result=result,
+            services=graph.services_along(result.path),
+        )
 
     # ------------------------------------------------------------------
     # Delivery

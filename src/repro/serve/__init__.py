@@ -1,4 +1,4 @@
-"""``repro.serve`` — the asyncio planning gateway and its load generator.
+"""``repro.serve`` — the asyncio planning gateway, its cluster and load generator.
 
 The serving layer the paper's architecture implies but one-shot CLI runs
 never exercised: an always-on daemon that admits JSON plan requests
@@ -8,11 +8,15 @@ without a restart, and reports one metrics document.  ``repro serve
 (:mod:`repro.serve.cluster`) with device-class shard affinity
 (:mod:`repro.serve.sharding`).  See ``docs/SERVING.md`` for the
 operational contract.
+
+The cluster supervisor (:mod:`repro.serve.cluster`) and the load
+generator (:mod:`repro.serve.loadgen`) are not re-exported: they pull in
+:mod:`multiprocessing` and the simulator, which a single-process daemon
+never needs.  Import them by module.
 """
 
 from repro.runtime.metrics import Histogram
 from repro.serve.admission import DeadlineQueue, RateLimiter, TokenBucket
-from repro.serve.cluster import ClusterConfig, ClusterSupervisor
 from repro.serve.gateway import GatewayConfig, PlanningGateway
 from repro.serve.health import (
     BreakerState,
@@ -20,12 +24,6 @@ from repro.serve.health import (
     FailureDetector,
     HealthConfig,
     HealthRegistry,
-)
-from repro.serve.loadgen import (
-    LoadgenConfig,
-    LoadgenReport,
-    RequestOutcome,
-    run_loadgen,
 )
 from repro.serve.metrics import GatewayMetrics
 from repro.serve.sharding import (
@@ -39,8 +37,6 @@ __all__ = [
     "DeadlineQueue",
     "RateLimiter",
     "TokenBucket",
-    "ClusterConfig",
-    "ClusterSupervisor",
     "GatewayConfig",
     "PlanningGateway",
     "BreakerState",
@@ -48,10 +44,6 @@ __all__ = [
     "FailureDetector",
     "HealthConfig",
     "HealthRegistry",
-    "LoadgenConfig",
-    "LoadgenReport",
-    "RequestOutcome",
-    "run_loadgen",
     "GatewayMetrics",
     "Histogram",
     "SHARD_HINT_HEADER",

@@ -82,10 +82,11 @@ ALPHA = 0.3
 #: HALF_OPEN breaker may close.  The gap to ``open_threshold`` is the
 #: hysteresis band.
 CLOSE_THRESHOLD = 0.35
-#: Outcomes considered while HALF_OPEN; reports beyond the quota without
-#: a verdict re-open the breaker.
-PROBE_QUOTA = 8
-#: Consecutive probe successes required to close.
+#: Consecutive probe successes required to close.  The EWMA is at most
+#: 1, so after this many successes it is at most
+#: ``(1 - ALPHA) ** PROBES_TO_CLOSE`` (0.343 < ``CLOSE_THRESHOLD``): a
+#: HALF_OPEN breaker reaches its verdict within ``PROBES_TO_CLOSE``
+#: reports, since any failed probe re-opens it.
 PROBES_TO_CLOSE = 3
 
 
@@ -178,7 +179,6 @@ class CircuitBreaker:
         "_opens",
         "_open_until",
         "_probes_used",
-        "_probe_streak",
         "_on_transition",
     )
 
@@ -195,7 +195,6 @@ class CircuitBreaker:
         self._opens = 0
         self._open_until = 0.0
         self._probes_used = 0
-        self._probe_streak = 0
         self._on_transition = on_transition
 
     # ------------------------------------------------------------------
@@ -228,7 +227,6 @@ class CircuitBreaker:
         """Advance time-driven transitions: OPEN -> HALF_OPEN on cooldown."""
         if self._state is BreakerState.OPEN and now >= self._open_until:
             self._probes_used = 0
-            self._probe_streak = 0
             self._transition(
                 BreakerState.HALF_OPEN, now, "cooldown elapsed"
             )
@@ -244,27 +242,21 @@ class CircuitBreaker:
             ):
                 self._open(now, f"ewma {ewma:.3f} crossed threshold")
         elif self._state is BreakerState.HALF_OPEN:
-            if self._probes_used >= PROBE_QUOTA:
-                # Quota already spent without a verdict; tick() or a
-                # prior report has re-opened by then, but guard anyway.
-                return
             self._probes_used += 1
             ewma = self._detector.update(success)
             if not success:
-                self._probe_streak = 0
                 self._open(now, "probe failed")
                 return
-            self._probe_streak += 1
+            # Every probe so far succeeded (a failure re-opens), so the
+            # probes used are the success streak.
             if (
-                self._probe_streak >= PROBES_TO_CLOSE
+                self._probes_used >= PROBES_TO_CLOSE
                 and ewma <= CLOSE_THRESHOLD
             ):
                 self._detector.reset()
                 self._transition(
                     BreakerState.CLOSED, now, "probes recovered"
                 )
-            elif self._probes_used >= PROBE_QUOTA:
-                self._open(now, "probe quota exhausted without recovery")
         # OPEN: reports from straggling in-flight sessions are ignored —
         # the service is masked; only the cooldown earns it probes.
 
@@ -310,22 +302,17 @@ class CircuitBreaker:
         if self._state is target:
             return
         if target is BreakerState.OPEN:
-            if self._state is BreakerState.CLOSED:
-                # Trust the peer's verdict over local sample count.
-                self._open(now, reason)
-            else:  # HALF_OPEN
-                self._probe_streak = 0
-                self._open(now, reason)
+            # From CLOSED too: trust the peer's verdict over local
+            # sample count.
+            self._open(now, reason)
         elif target is BreakerState.HALF_OPEN:
             if self._state is BreakerState.CLOSED:
                 self._open(now, reason)
             self._probes_used = 0
-            self._probe_streak = 0
             self._transition(BreakerState.HALF_OPEN, now, reason)
         else:  # CLOSED
             if self._state is BreakerState.OPEN:
                 self._probes_used = 0
-                self._probe_streak = 0
                 self._transition(BreakerState.HALF_OPEN, now, reason)
             self._detector.reset()
             self._transition(BreakerState.CLOSED, now, reason)

@@ -80,7 +80,6 @@ class SimSession:
         self._satisfaction = request.user.satisfaction(request.peer)
 
         # Streaming state
-        self._plan: Optional[SessionPlan] = None
         self._leases: List[Reservation] = []
         self._services: Tuple[str, ...] = ()
         self._config: Optional[Configuration] = None
@@ -247,7 +246,6 @@ class SimSession:
     # Replanning
     # ------------------------------------------------------------------
     def _adopt(self, plan: SessionPlan, leases: List[Reservation]) -> None:
-        self._plan = plan
         self._leases = leases
         self._services = tuple(
             sid for sid in plan.result.path if sid not in ENDPOINT_IDS
@@ -320,10 +318,9 @@ class SimSession:
                 "kept old chain",
             )
             return
-        switched = candidate.result.path != (
-            self._plan.result.path if self._plan is not None else ()
-        )
+        held = self._services
         self._adopt(candidate, new_leases)
+        switched = self._services != held
         self._replans += 1
         self._sim.record(
             "replan",

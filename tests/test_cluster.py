@@ -21,17 +21,12 @@ from repro.errors import GatewayError
 from repro.policy import DeviceIn, PolicyDocument, PolicyRule, policy_to_dict
 from repro.profiles.device import DeviceProfile
 from repro.profiles.serialization import profile_to_dict
-from repro.serve import (
-    ClusterConfig,
-    ClusterSupervisor,
-    GatewayConfig,
-    HealthConfig,
-    LoadgenConfig,
-    run_loadgen,
-)
 from repro.serve import cluster
+from repro.serve.cluster import ClusterConfig, ClusterSupervisor
+from repro.serve.gateway import GatewayConfig
+from repro.serve.health import HealthConfig
 from repro.serve.http11 import read_response, render_request
-from repro.serve.loadgen import _request_bodies
+from repro.serve.loadgen import LoadgenConfig, _request_bodies, run_loadgen
 from repro.serve.protocol import encode_payload
 from repro.workloads.io import save_scenario
 from repro.workloads.synthetic import SyntheticConfig, generate_scenario

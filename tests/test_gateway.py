@@ -23,14 +23,10 @@ from repro.core.parameters import (
     ParameterSet,
 )
 from repro.profiles.serialization import profile_to_dict
-from repro.serve import (
-    GatewayConfig,
-    LoadgenConfig,
-    PlanningGateway,
-    run_loadgen,
-)
+from repro.serve.gateway import GatewayConfig, PlanningGateway
 from repro.serve.health import HealthConfig
 from repro.serve.http11 import MAX_BODY_BYTES, read_response, render_request
+from repro.serve.loadgen import LoadgenConfig, run_loadgen
 from repro.serve.protocol import encode_payload
 from repro.workloads.paper import figure6_scenario
 from repro.workloads.synthetic import SyntheticConfig, generate_scenario

@@ -6,8 +6,9 @@ adversarially rather than by example:
 - only the four legal transitions ever appear in a trace, no matter what
   outcome/time stream drives the breaker (in particular CLOSED ->
   HALF_OPEN and OPEN -> CLOSED never occur);
-- HALF_OPEN consumes at most ``PROBE_QUOTA`` outcomes before reaching a
-  verdict, and exhausting the quota without recovery re-opens;
+- HALF_OPEN reaches a verdict (CLOSED or OPEN) within
+  ``PROBES_TO_CLOSE`` outcomes, because ``(1 - ALPHA) ** PROBES_TO_CLOSE``
+  is below ``CLOSE_THRESHOLD``;
 - the hysteresis band keeps adversarial alternating outcome streams from
   ever flapping the breaker at the default thresholds;
 - a fixed seed yields a bit-identical transition trace (including the
@@ -18,8 +19,6 @@ adversarially rather than by example:
 """
 
 from __future__ import annotations
-
-from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
@@ -97,46 +96,50 @@ class TestLegalTransitionsOnly:
             )
 
 
-class TestProbeQuota:
+class TestHalfOpenVerdict:
+    def test_probes_to_close_successes_always_clear_the_close_threshold(self):
+        # The EWMA is at most 1; each success scales it by 1 - ALPHA.
+        assert (1.0 - health.ALPHA) ** health.PROBES_TO_CLOSE < (
+            health.CLOSE_THRESHOLD
+        )
+
     @given(
         open_threshold=st.floats(0.4, 0.99),
-        extra_successes=st.integers(0, 30),
+        outcomes=st.lists(
+            st.booleans(),
+            min_size=health.PROBES_TO_CLOSE,
+            max_size=health.PROBES_TO_CLOSE,
+        ),
         seed=st.integers(0, 2**16),
     )
     @settings(max_examples=150, deadline=None)
-    def test_quota_bounds_probes_and_exhaustion_reopens(
-        self, open_threshold, extra_successes, seed
+    def test_half_open_settles_within_probes_to_close_reports(
+        self, open_threshold, outcomes, seed
     ):
-        # At the constants three straight successes always close (the
-        # EWMA is at most 1, and 0.7**3 < CLOSE_THRESHOLD), so the quota
-        # only runs out under a close threshold no probe run inside the
-        # quota can reach (0.4 * 0.7**8 ~ 0.02 >> 1e-9).
-        with mock.patch.object(health, "CLOSE_THRESHOLD", 1e-9):
-            config = HealthConfig(
-                open_threshold=open_threshold,
-                min_samples=1,
-                cooldown_s=1.0,
-                cooldown_jitter=0.0,
-                seed=seed,
-            )
-            trace = []
-            breaker = CircuitBreaker("svc", config, trace.append)
-            now = 0.0
-            while breaker.state is BreakerState.CLOSED:
-                breaker.report(False, now)
-                now += 0.001
-            breaker.tick(2.0)
-            assert breaker.state is BreakerState.HALF_OPEN
-            for step in range(health.PROBE_QUOTA + extra_successes):
-                breaker.report(True, 2.0 + 0.01 * step)
-                assert breaker.probes_used <= health.PROBE_QUOTA
-        # Exhausted without recovery: back to OPEN, never through CLOSED.
-        assert breaker.state is BreakerState.OPEN
-        assert breaker.opens == 2
-        assert trace[-1].reason == "probe quota exhausted without recovery"
-        assert ("half_open", "closed") not in {
-            (r.old, r.new) for r in trace
-        }
+        config = HealthConfig(
+            open_threshold=open_threshold,
+            min_samples=1,
+            cooldown_s=1.0,
+            cooldown_jitter=0.0,
+            seed=seed,
+        )
+        trace = []
+        breaker = CircuitBreaker("svc", config, trace.append)
+        now = 0.0
+        while breaker.state is BreakerState.CLOSED:
+            breaker.report(False, now)
+            now += 0.001
+        breaker.tick(2.0)
+        assert breaker.state is BreakerState.HALF_OPEN
+        for step, success in enumerate(outcomes):
+            breaker.report(success, 2.0 + 0.01 * step)
+            if breaker.state is not BreakerState.HALF_OPEN:
+                break
+        assert breaker.state in (BreakerState.CLOSED, BreakerState.OPEN)
+        assert breaker.probes_used <= health.PROBES_TO_CLOSE
+        assert trace[-1].old == "half_open"
+        expected = "closed" if all(outcomes) else "open"
+        assert trace[-1].new == expected
 
     def test_successful_probes_close_and_reset_the_detector(self):
         config = HealthConfig(
@@ -147,9 +150,7 @@ class TestProbeQuota:
             breaker.report(False, 0.1 * step)
         assert breaker.state is BreakerState.OPEN
         now = breaker.open_until + 0.001
-        for step in range(health.PROBE_QUOTA):
-            if breaker.state is BreakerState.CLOSED:
-                break
+        for step in range(health.PROBES_TO_CLOSE):
             breaker.report(True, now + 0.01 * step)
         assert breaker.state is BreakerState.CLOSED
         assert breaker.ewma == 0.0  # fresh detector after recovery

@@ -109,7 +109,7 @@ def test_discovery_to_delivery_round_trip():
     assert result.delivered_frame_rate == pytest.approx(20.0)
 
     # Execute the chain with the synthetic transcoders.
-    chain = build_chain(graph, result)
+    chain = build_chain(graph.services_along(result.path), result)
     delivered = chain.execute(content.variant_for("mpeg2"), registry)
     assert delivered.format.name == "h263"
     assert delivered.configuration[FRAME_RATE] <= 24.0

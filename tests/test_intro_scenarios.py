@@ -72,7 +72,8 @@ class TestJpegToGif:
     def test_chain_executes_end_to_end(self):
         scenario = jpeg_to_gif_scenario()
         result = scenario.select()
-        chain = build_chain(scenario.build_graph(), result)
+        graph = scenario.build_graph()
+        chain = build_chain(graph.services_along(result.path), result)
         delivered = chain.execute(
             scenario.content.variant_for("jpeg-256c"), scenario.registry
         )

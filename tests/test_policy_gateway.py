@@ -24,13 +24,9 @@ from repro.policy import (
 from repro.profiles.device import DeviceProfile
 from repro.profiles.serialization import profile_to_dict
 from repro.runtime.session import AdaptationSession
-from repro.serve import (
-    GatewayConfig,
-    LoadgenConfig,
-    PlanningGateway,
-    run_loadgen,
-)
+from repro.serve.gateway import GatewayConfig, PlanningGateway
 from repro.serve.http11 import read_response, render_request
+from repro.serve.loadgen import LoadgenConfig, run_loadgen
 from repro.serve.protocol import encode_payload
 from repro.workloads.synthetic import SyntheticConfig, generate_scenario
 

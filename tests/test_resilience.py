@@ -20,16 +20,16 @@ from repro.planner import device_variants
 from repro.policy import DeviceIn, PolicyDocument, PolicyRule
 from repro.profiles.device import DeviceProfile
 from repro.profiles.serialization import profile_to_dict
-from repro.serve import (
-    GatewayConfig,
-    HealthConfig,
+from repro.serve import loadgen
+from repro.serve.gateway import GatewayConfig, PlanningGateway
+from repro.serve.health import HealthConfig
+from repro.serve.http11 import read_response, render_request
+from repro.serve.loadgen import (
     LoadgenConfig,
-    PlanningGateway,
+    RequestOutcome,
+    _retry_schedule,
     run_loadgen,
 )
-from repro.serve.http11 import read_response, render_request
-from repro.serve import loadgen
-from repro.serve.loadgen import RequestOutcome, _retry_schedule
 from repro.serve.protocol import encode_payload
 from repro.workloads.synthetic import SyntheticConfig, generate_scenario
 

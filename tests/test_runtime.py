@@ -9,6 +9,7 @@ import pytest
 
 from repro.errors import NoPathError, PipelineError, ValidationError
 from repro.network.bandwidth import RandomWalkBandwidth, SinusoidalBandwidth
+from repro.network.placement import ENDPOINT_IDS
 from repro.runtime.events import Event, EventLog
 from repro.runtime.session import AdaptationSession
 from repro.workloads.paper import figure6_scenario
@@ -263,6 +264,6 @@ class TestSessionOnSynthetic:
         session = scenario.session()
         plan = session.plan()
         report = session.deliver(plan, duration_s=30.0, seed=4)
-        if plan.result.path != (plan.graph.sender_id, plan.graph.receiver_id):
+        if plan.result.path != ENDPOINT_IDS:
             # Some hop crosses a lossy link with probability ~1 over 30 s.
             assert 0.0 <= report.loss_fraction < 0.5

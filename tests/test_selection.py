@@ -176,7 +176,7 @@ class TestBasicSelection:
         result = QoSPathSelector(
             graph, registry, pinned_parameters(), fps_satisfaction()
         ).run()
-        chain = build_chain(graph, result)
+        chain = build_chain(graph.services_along(result.path), result)
         assert chain.service_ids() == ["sender", "T1", "receiver"]
         assert chain.formats() == ["F0", "F1"]
 
@@ -197,7 +197,7 @@ class TestFailure:
             graph, registry, pinned_parameters(), fps_satisfaction()
         ).run()
         with pytest.raises(NoPathError):
-            build_chain(graph, result)
+            build_chain(graph.services_along(result.path), result)
 
     def test_failure_still_settles_transcoders(self):
         registry, graph = tiny_world(decoders=("F9",))

@@ -101,7 +101,7 @@ def test_build_chain_on_failure_raises_no_path(fig6):
     result = _select(fig6, graph, _user(budget=0.0)).run()
     assert not result.success
     with pytest.raises(NoPathError):
-        build_chain(graph, result)
+        build_chain(graph.services_along(result.path), result)
 
 
 # ----------------------------------------------------------------------

@@ -416,7 +416,7 @@ class TestHistogram:
 
 class TestLoadgenValidation:
     def test_requests_must_be_positive(self):
-        from repro.serve import LoadgenConfig, run_loadgen
+        from repro.serve.loadgen import LoadgenConfig, run_loadgen
 
         scenario = generate_scenario(SyntheticConfig(seed=1, n_services=4,
                                                      n_formats=4, n_nodes=3))
