@@ -11,7 +11,7 @@ the two claims the cluster makes over the single-process gateway of E19:
   workload while the p99 of accepted requests stays inside the same
   deadline budget for both;
 - **affinity determinism**: with ``--shard-affinity`` routing every
-  device class to its ring owner, two same-seed campaigns against two
+  device class to its ``shard_owner``, two same-seed campaigns against two
   freshly booted clusters reproduce the per-request outcome digest
   bit-for-bit and land the identical per-worker request distribution;
   the digest is written alone to ``cluster_digest.txt`` (CI diffs it at
@@ -182,7 +182,8 @@ def test_cluster_scaling_and_affinity_determinism(benchmark, save_artifact):
     )
     assert first.worker_distribution() == second.worker_distribution()
     assert len(first.worker_distribution()) > 1, (
-        "affinity routed every device class to one worker — ring is broken"
+        "affinity routed every device class to one worker — "
+        "shard_owner is broken"
     )
 
     # Timing harness: boot-to-drained cluster burst (fork, serve, merge).

@@ -49,7 +49,7 @@ from repro.errors import NoPathError
 from repro.formats.format import MediaFormat
 from repro.formats.registry import FormatRegistry
 from repro.profiles.user import UserProfile
-from repro.services.chains import AdaptationChain, ChainHop
+from repro.services.chains import AdaptationChain, chain_from_services
 from repro.services.descriptor import ServiceDescriptor
 
 __all__ = [
@@ -118,9 +118,14 @@ class TieBreakPolicy(enum.Enum):
     - ``ASCENDING_ID`` / ``DESCENDING_ID``: by natural service-id order.
     - ``INSERTION_ORDER``: first entered into CS wins.
 
-    Every policy yields the same *final* satisfaction (ties are equal by
-    definition); they differ in which equally good path gets reported and
-    in how many rounds run before the receiver settles.
+    Under a budget that does not bind, every policy yields the same
+    *final* satisfaction (ties are equal by definition); they differ in
+    which equally good path gets reported and in how many rounds run
+    before the receiver settles.  Under a binding budget they can differ:
+    settling the dearer of two equally good candidates first can leave
+    too little budget downstream (with hardware-tier siblings, ``PAPER``
+    ends at 0.945 where exhaustive search reaches 1.0 on one synthetic
+    case).
     """
 
     PAPER = "paper"
@@ -614,9 +619,4 @@ def build_chain(
     """
     if not result.success:
         raise NoPathError("cannot build a chain from a FAILURE result")
-    hops = [ChainHop(services[0], None)]
-    hops.extend(
-        ChainHop(service, fmt)
-        for service, fmt in zip(services[1:], result.formats)
-    )
-    return AdaptationChain(hops)
+    return chain_from_services(services, result.formats)

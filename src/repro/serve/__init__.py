@@ -29,7 +29,6 @@ from repro.serve.metrics import GatewayMetrics
 from repro.serve.sharding import (
     SHARD_HINT_HEADER,
     WORKER_ID_HEADER,
-    ShardRouter,
     device_shard_hint,
 )
 
@@ -48,6 +47,5 @@ __all__ = [
     "Histogram",
     "SHARD_HINT_HEADER",
     "WORKER_ID_HEADER",
-    "ShardRouter",
     "device_shard_hint",
 ]

@@ -67,7 +67,6 @@ from repro.serve.health import open_majority
 from repro.serve.http11 import read_response, render_request
 from repro.serve.metrics import LATENCY_BUCKETS_MS, SATISFACTION_BUCKETS
 from repro.serve.protocol import decode_reload_scenario, error_payload
-from repro.serve.sharding import ShardRouter
 from repro.workloads.io import load_scenario
 from repro.workloads.scenario import Scenario
 
@@ -297,7 +296,6 @@ class ClusterSupervisor:
         if not hasattr(socket, "SO_REUSEPORT"):  # pragma: no cover
             raise GatewayError("cluster mode requires SO_REUSEPORT")
         self._scenario_path = scenario_path
-        self._router = ShardRouter.for_cluster(self._cluster.workers)
         self._handles: Dict[int, _WorkerHandle] = {
             worker_id: _WorkerHandle(worker_id=worker_id)
             for worker_id in range(self._cluster.workers)
@@ -339,10 +337,6 @@ class ClusterSupervisor:
     @property
     def workers(self) -> int:
         return self._cluster.workers
-
-    @property
-    def router(self) -> ShardRouter:
-        return self._router
 
     @property
     def draining(self) -> bool:
@@ -983,7 +977,6 @@ class ClusterSupervisor:
             "host": self._gateway_config.host,
             "port": self.port,
             "admin_port": self.admin_port,
-            "ring": self._router.to_dict(),
             "workers": [
                 {
                     "worker_id": handle.worker_id,

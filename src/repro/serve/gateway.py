@@ -74,7 +74,7 @@ from repro.serve.protocol import (
 from repro.serve.sharding import (
     SHARD_HINT_HEADER,
     WORKER_ID_HEADER,
-    ShardRouter,
+    shard_owner,
 )
 from repro.workloads.io import load_scenario
 from repro.workloads.scenario import Scenario
@@ -130,8 +130,8 @@ class GatewayConfig:
     #: requests are metered as shard hits/misses.  ``None`` means
     #: standalone.
     worker_id: Optional[int] = None
-    #: Total workers in the cluster this gateway belongs to (sizes the
-    #: shard ring used for hit/miss accounting); 1 means standalone.
+    #: Total workers in the cluster this gateway belongs to (the
+    #: ``shard_owner`` modulus for hit/miss accounting); 1 means standalone.
     cluster_size: int = 1
     #: When set, enables the per-service failure detector and circuit
     #: breakers (:mod:`repro.serve.health`): ``POST /report`` feeds
@@ -342,11 +342,6 @@ class PlanningGateway:
         self._server: Optional[asyncio.AbstractServer] = None
         self._private_server: Optional[asyncio.AbstractServer] = None
         self._private_port_bound: Optional[int] = None
-        self._router = (
-            ShardRouter.for_cluster(self._config.cluster_size)
-            if self._config.cluster_size > 1
-            else None
-        )
         self._connections: Set[asyncio.Task] = set()
         #: Connection tasks planning on a granted slot (the ``inflight``
         #: count); a drain whose grace runs out cancels them, and each
@@ -833,8 +828,9 @@ class PlanningGateway:
             return 400, error_payload("invalid", str(exc)), {}
         self._metrics.bump("received")
         hint = request.headers.get(SHARD_HINT_HEADER)
-        if hint and self._router is not None and self._config.worker_id is not None:
-            if self._router.route(hint) == self._config.worker_id:
+        cluster_size = self._config.cluster_size
+        if hint and cluster_size > 1 and self._config.worker_id is not None:
+            if shard_owner(hint, cluster_size) == self._config.worker_id:
                 self._metrics.bump("shard_hits")
             else:
                 self._metrics.bump("shard_misses")

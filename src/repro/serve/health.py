@@ -13,12 +13,11 @@ closes that gap with three pieces:
   OPEN->HALF_OPEN, HALF_OPEN->CLOSED, HALF_OPEN->OPEN); anything else
   is a programming error and raises.  Opening requires the EWMA to
   cross ``open_threshold`` *and* ``min_samples`` distinct reports, and
-  closing requires :data:`PROBES_TO_CLOSE` consecutive probe successes
-  *and* the EWMA back under :data:`CLOSE_THRESHOLD` — the gap between
-  the two thresholds is the hysteresis band that keeps adversarial
-  alternating outcome streams from flapping the breaker (at the
-  defaults an alternating stream's EWMA fixed point is ~0.59, strictly
-  inside the band).
+  closing requires :data:`PROBES_TO_CLOSE` consecutive probe successes.
+  Adversarial alternating outcome streams cannot flap the breaker
+  because ``open_threshold`` (0.7 by default) sits above the supremum
+  an alternating stream drives the EWMA toward,
+  ``ALPHA / (1 - (1 - ALPHA) ** 2)`` ~ 0.588.
 - :class:`HealthRegistry` — the per-gateway collection: lazily creates
   a breaker per reported service, ticks OPEN breakers into HALF_OPEN
   when their cooldown expires, exposes the quarantine set the planner
@@ -78,15 +77,14 @@ _LEGAL_TRANSITIONS: FrozenSet[Tuple[BreakerState, BreakerState]] = frozenset(
 
 #: EWMA smoothing factor: weight of the newest outcome.
 ALPHA = 0.3
-#: EWMA estimate the probes must drag the detector back under before a
-#: HALF_OPEN breaker may close.  The gap to ``open_threshold`` is the
-#: hysteresis band.
-CLOSE_THRESHOLD = 0.35
-#: Consecutive probe successes required to close.  The EWMA is at most
-#: 1, so after this many successes it is at most
-#: ``(1 - ALPHA) ** PROBES_TO_CLOSE`` (0.343 < ``CLOSE_THRESHOLD``): a
-#: HALF_OPEN breaker reaches its verdict within ``PROBES_TO_CLOSE``
-#: reports, since any failed probe re-opens it.
+#: Exclusive lower bound on ``HealthConfig.open_threshold``.  Only a
+#: threshold above the alternation supremum (~0.588 at ``ALPHA``) keeps
+#: an alternating outcome stream from opening the breaker; the default
+#: 0.7 does.
+OPEN_THRESHOLD_FLOOR = 0.35
+#: Consecutive probe successes required to close.  Any failed probe
+#: re-opens the breaker, so HALF_OPEN reaches its verdict within
+#: ``PROBES_TO_CLOSE`` reports.
 PROBES_TO_CLOSE = 3
 
 
@@ -109,10 +107,10 @@ class HealthConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not CLOSE_THRESHOLD < self.open_threshold <= 1.0:
+        if not OPEN_THRESHOLD_FLOOR < self.open_threshold <= 1.0:
             raise ValidationError(
-                "thresholds must satisfy close < open <= 1, got "
-                f"close={CLOSE_THRESHOLD} open={self.open_threshold}"
+                f"open_threshold must lie in ({OPEN_THRESHOLD_FLOOR}, 1], "
+                f"got {self.open_threshold}"
             )
         if self.min_samples < 1:
             raise ValidationError(
@@ -243,16 +241,14 @@ class CircuitBreaker:
                 self._open(now, f"ewma {ewma:.3f} crossed threshold")
         elif self._state is BreakerState.HALF_OPEN:
             self._probes_used += 1
-            ewma = self._detector.update(success)
+            # Probes still feed the detector: /health reports its estimate.
+            self._detector.update(success)
             if not success:
                 self._open(now, "probe failed")
                 return
             # Every probe so far succeeded (a failure re-opens), so the
             # probes used are the success streak.
-            if (
-                self._probes_used >= PROBES_TO_CLOSE
-                and ewma <= CLOSE_THRESHOLD
-            ):
+            if self._probes_used >= PROBES_TO_CLOSE:
                 self._detector.reset()
                 self._transition(
                     BreakerState.CLOSED, now, "probes recovered"

@@ -34,8 +34,8 @@ from repro.serve.protocol import encode_payload
 from repro.serve.sharding import (
     SHARD_HINT_HEADER,
     WORKER_ID_HEADER,
-    ShardRouter,
     device_shard_hint,
+    shard_owner,
 )
 from repro.sim.arrivals import PoissonArrivals
 from repro.sim.report import percentile
@@ -538,29 +538,52 @@ async def _fetch_cluster_document(host: str, admin_port: int) -> Dict:
     return document
 
 
+def _worker_ports(document: Dict) -> Tuple[int, Dict[int, int]]:
+    """The worker count and worker id → private port map of /cluster.
+
+    The worker ids must be ints covering ``0..N-1`` exactly: they are the
+    range :func:`~repro.serve.sharding.shard_owner` maps hints onto, so a
+    document that breaks this would route hints to workers that do not
+    own them.  A worker without a private port (mid-restart) is left out
+    of the map.
+    """
+    entries = document.get("workers")
+    if not isinstance(entries, list) or not entries:
+        raise ValidationError("/cluster 'workers' must be a non-empty list")
+    worker_ids: List[int] = []
+    ports: Dict[int, int] = {}
+    for entry in entries:
+        worker_id = entry.get("worker_id") if isinstance(entry, dict) else None
+        if not isinstance(worker_id, int) or isinstance(worker_id, bool):
+            raise ValidationError(
+                f"/cluster worker ids must be ints, got {worker_id!r}"
+            )
+        worker_ids.append(worker_id)
+        private_port = entry.get("private_port")
+        if isinstance(private_port, int):
+            ports[worker_id] = private_port
+    if sorted(worker_ids) != list(range(len(worker_ids))):
+        raise ValidationError(
+            f"/cluster worker ids must be 0..{len(worker_ids) - 1}, "
+            f"got {sorted(worker_ids)}"
+        )
+    if not ports:
+        raise ValidationError(
+            "cluster reports no worker private ports; is it still starting?"
+        )
+    return len(worker_ids), ports
+
+
 async def _resolve_affinity(
     config: LoadgenConfig,
-) -> Tuple[ShardRouter, Dict[int, int]]:
-    """The (ring, worker id → private port) map behind ``--shard-affinity``."""
+) -> Tuple[int, Dict[int, int]]:
+    """The worker count and private ports behind ``--shard-affinity``."""
     if config.admin_port is None:
         raise ValidationError(
             "shard affinity needs the cluster admin port (--admin-port)"
         )
     document = await _fetch_cluster_document(config.host, config.admin_port)
-    router = ShardRouter.from_dict(document.get("ring", {}))
-    ports: Dict[int, int] = {}
-    for entry in document.get("workers", ()):
-        if not isinstance(entry, dict):
-            continue
-        worker_id = entry.get("worker_id")
-        private_port = entry.get("private_port")
-        if isinstance(worker_id, int) and isinstance(private_port, int):
-            ports[worker_id] = private_port
-    if not ports:
-        raise ValidationError(
-            "cluster reports no worker private ports; is it still starting?"
-        )
-    return router, ports
+    return _worker_ports(document)
 
 
 async def _fire_one(
@@ -716,10 +739,10 @@ async def run_loadgen(
             "it cannot combine with group mode"
         )
     bodies = _request_bodies(scenario, config)
-    router: Optional[ShardRouter] = None
+    workers = 0
     worker_ports: Dict[int, int] = {}
     if config.shard_affinity:
-        router, worker_ports = await _resolve_affinity(config)
+        workers, worker_ports = await _resolve_affinity(config)
     rng = random.Random(config.seed)
     offsets = PoissonArrivals(config.rate_per_s).times(config.requests, rng)
     loop = asyncio.get_running_loop()
@@ -727,11 +750,11 @@ async def run_loadgen(
     wall_start = time.perf_counter()
 
     def target_port(hint: str) -> int:
-        if router is None:
+        if not workers:
             return config.port
         # A worker missing its private port (mid-restart) falls back to
         # the shared port: affinity is advisory, delivery is not.
-        return worker_ports.get(router.route(hint), config.port)
+        return worker_ports.get(shard_owner(hint, workers), config.port)
 
     async def timed_fire(index: int) -> RequestOutcome:
         delay = start + offsets[index] - loop.time()

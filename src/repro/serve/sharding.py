@@ -1,31 +1,29 @@
-"""Device-class shard affinity: hints and the consistent-hash ring.
+"""Device-class shard affinity: hints and their owners.
 
 Plan-cache locality across a worker cluster comes from routing every
 request of one *device class* to the same worker: the class dominates the
 request fingerprint (the other profiles default to the serving
 scenario's), so a worker that owns a class serves it from cache after the
-first miss.  Two pieces implement that:
+first miss.  Two functions implement that:
 
 - :func:`device_shard_hint` — a stable hex digest of the device profile's
   ``cache_key()``, the same component the plan fingerprint hashes.  The
   client computes it and sends it as the ``x-shard-hint`` header; a
   worker receiving a hinted request can tell whether it owns the shard
   (``shard_hits`` / ``shard_misses`` counters).
-- :class:`ShardRouter` — a consistent-hash ring over worker ids with
-  virtual nodes.  Hints spread evenly across workers, and adding or
-  removing one worker moves only ~1/N of the hint space, so a restart
-  does not flush every worker's cache affinity.
+- :func:`shard_owner` — the worker id owning a hint in a cluster of N
+  workers: a 64-bit SHA-256 prefix of the hint modulo N.  The worker
+  count is fixed for a cluster's life (a crashed worker restarts under
+  the same id), so the owner map never has to survive a resize.
 
 Routing is *advisory*: a request that lands on the wrong worker (no hint,
-stale routing table, worker restarting) is planned correctly there — the
-caches are simply colder.  Correctness never depends on the ring.
+worker restarting) is planned correctly there — the caches are simply
+colder.  Correctness never depends on the owner map.
 """
 
 from __future__ import annotations
 
-import bisect
 import hashlib
-from typing import Any, Dict, List, Mapping, Sequence, Tuple
 
 from repro.errors import ValidationError
 from repro.profiles.device import DeviceProfile
@@ -34,25 +32,13 @@ __all__ = [
     "SHARD_HINT_HEADER",
     "WORKER_ID_HEADER",
     "device_shard_hint",
-    "ShardRouter",
+    "shard_owner",
 ]
 
 #: Request header carrying the client-computed shard hint.
 SHARD_HINT_HEADER = "x-shard-hint"
 #: Response header naming the worker that answered.
 WORKER_ID_HEADER = "x-worker-id"
-
-#: Virtual nodes per worker on the ring.  64 keeps the worst-case load
-#: imbalance under a few percent for small clusters while the ring stays
-#: tiny (N * 64 points).
-DEFAULT_REPLICAS = 64
-
-
-def _ring_point(label: str) -> int:
-    """A 64-bit point on the ring for ``label`` (stable across processes)."""
-    return int.from_bytes(
-        hashlib.sha256(label.encode("utf-8")).digest()[:8], "big"
-    )
 
 
 def device_shard_hint(device: DeviceProfile) -> str:
@@ -67,105 +53,16 @@ def device_shard_hint(device: DeviceProfile) -> str:
     return digest.hexdigest()[:16]
 
 
-class ShardRouter:
-    """A consistent-hash routing table: shard hint → worker id.
+def shard_owner(hint: str, workers: int) -> int:
+    """The worker id (``0..workers-1``) owning ``hint``.
 
-    Deterministic in the worker-id set alone — every participant
-    (supervisor, workers, affinity-aware clients) builds bit-identical
-    rings from the worker count, so no ring state needs distributing
-    beyond the worker list itself.
+    A pure function of the hint and the worker count, stable across
+    processes, so the client that routes a request and the worker that
+    meters it agree without exchanging any state.
     """
-
-    def __init__(
-        self,
-        worker_ids: Sequence[int],
-        replicas: int = DEFAULT_REPLICAS,
-    ) -> None:
-        ids = list(worker_ids)
-        if not ids:
-            raise ValidationError("ShardRouter needs at least one worker id")
-        if len(set(ids)) != len(ids):
-            raise ValidationError(f"duplicate worker ids: {sorted(ids)}")
-        if replicas < 1:
-            raise ValidationError("ShardRouter needs replicas >= 1")
-        self._worker_ids: Tuple[int, ...] = tuple(sorted(int(w) for w in ids))
-        self._replicas = int(replicas)
-        points: List[Tuple[int, int]] = []
-        for worker_id in self._worker_ids:
-            for replica in range(self._replicas):
-                points.append(
-                    (_ring_point(f"worker-{worker_id}#{replica}"), worker_id)
-                )
-        # Ties on a point are broken by worker id so the ring is a pure
-        # function of the id set regardless of insertion order.
-        points.sort()
-        self._points: List[int] = [point for point, _ in points]
-        self._owners: List[int] = [owner for _, owner in points]
-
-    @classmethod
-    def for_cluster(
-        cls, workers: int, replicas: int = DEFAULT_REPLICAS
-    ) -> "ShardRouter":
-        """The ring for a cluster of ``workers`` processes (ids 0..N-1)."""
-        if workers < 1:
-            raise ValidationError("cluster needs at least one worker")
-        return cls(range(workers), replicas=replicas)
-
-    @property
-    def worker_ids(self) -> Tuple[int, ...]:
-        return self._worker_ids
-
-    def route(self, hint: str) -> int:
-        """The worker id owning ``hint`` (first ring point clockwise)."""
-        point = _ring_point(hint)
-        index = bisect.bisect_right(self._points, point)
-        if index == len(self._points):
-            index = 0
-        return self._owners[index]
-
-    def distribution(self, hints: Sequence[str]) -> Dict[int, int]:
-        """How many of ``hints`` each worker owns (workers with 0 included)."""
-        counts: Dict[int, int] = {worker_id: 0 for worker_id in self._worker_ids}
-        for hint in hints:
-            counts[self.route(hint)] += 1
-        return counts
-
-    def to_dict(self) -> Dict[str, Any]:
-        """The wire form served by the supervisor's ``/cluster`` endpoint."""
-        return {
-            "worker_ids": list(self._worker_ids),
-            "replicas": self._replicas,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ShardRouter":
-        if not isinstance(data, Mapping):
-            raise ValidationError("shard ring document must be a mapping")
-        worker_ids = data.get("worker_ids")
-        if not isinstance(worker_ids, Sequence) or isinstance(
-            worker_ids, (str, bytes)
-        ):
-            raise ValidationError("shard ring 'worker_ids' must be a list")
-        for worker_id in worker_ids:
-            if not isinstance(worker_id, int) or isinstance(worker_id, bool):
-                raise ValidationError(
-                    f"shard ring worker ids must be ints, got {worker_id!r}"
-                )
-        replicas = data.get("replicas", DEFAULT_REPLICAS)
-        if not isinstance(replicas, int) or isinstance(replicas, bool):
-            raise ValidationError("shard ring 'replicas' must be an int")
-        return cls(worker_ids, replicas=replicas)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ShardRouter):
-            return NotImplemented
-        return (
-            self._worker_ids == other._worker_ids
-            and self._replicas == other._replicas
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"ShardRouter(workers={self._worker_ids}, "
-            f"replicas={self._replicas})"
-        )
+    if workers < 1:
+        raise ValidationError("cluster needs at least one worker")
+    point = int.from_bytes(
+        hashlib.sha256(hint.encode("utf-8")).digest()[:8], "big"
+    )
+    return point % workers

@@ -19,8 +19,8 @@ any seed yields a coherent campaign:
   alone, quarantine it, and recover it once HALF_OPEN probes succeed;
 - ``live-event`` — one stream, maximal device heterogeneity (32 receiver
   classes) and a flash crowd dumping most of the audience into a few
-  seconds: the group-planning workload (``docs/ALGORITHM.md`` §9) where
-  shared adaptation trees pay off most;
+  seconds.  Every session plans alone through ``SimWorld.plan``; the
+  simulator never calls the group planner (``docs/ALGORITHM.md`` §9);
 - ``policy-mix`` — a mostly-compatible audience: 70% of the device
   classes decode the source format natively and a policy ``skip`` rule
   answers them without the selector (``docs/ALGORITHM.md`` §10), one
@@ -264,8 +264,7 @@ def _live_event(seed: int, sessions: int, faults: bool) -> SimulationConfig:
         session_duration_s=40.0,
         faults=schedule,
         # Every handset model tunes into the same stream: the widest
-        # class spread any preset uses, so grouped planning has real
-        # prefixes to share.
+        # class spread any preset uses, each class planned per session.
         device_classes=32,
     )
 

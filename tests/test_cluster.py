@@ -14,6 +14,7 @@ import asyncio
 import json
 import os
 import signal
+from collections import Counter
 
 import pytest
 
@@ -28,6 +29,7 @@ from repro.serve.health import HealthConfig
 from repro.serve.http11 import read_response, render_request
 from repro.serve.loadgen import LoadgenConfig, _request_bodies, run_loadgen
 from repro.serve.protocol import encode_payload
+from repro.serve.sharding import shard_owner
 from repro.workloads.io import save_scenario
 from repro.workloads.synthetic import SyntheticConfig, generate_scenario
 
@@ -370,6 +372,8 @@ class TestDrain:
 
 class TestShardAffinity:
     def test_affinity_distribution_matches_the_ring(self):
+        """Each affinity-routed request lands on its ``shard_owner``."""
+
         async def scenario(supervisor):
             config = LoadgenConfig(
                 port=supervisor.port,
@@ -385,13 +389,10 @@ class TestShardAffinity:
             assert report.failed == 0
             assert report.completed == 60
             hints = [hint for _, hint in _request_bodies(SCENARIO, config)]
-            predicted = {
-                str(worker): count
-                for worker, count in supervisor.router.distribution(
-                    hints
-                ).items()
-                if count
-            }
+            predicted = dict(
+                Counter(str(shard_owner(hint, supervisor.workers))
+                        for hint in hints)
+            )
             assert report.worker_distribution() == predicted
             # Every hinted request landed on its shard owner.
             status, document, _ = await request(

@@ -28,6 +28,7 @@ from repro.serve.health import HealthConfig
 from repro.serve.http11 import MAX_BODY_BYTES, read_response, render_request
 from repro.serve.loadgen import LoadgenConfig, run_loadgen
 from repro.serve.protocol import encode_payload
+from repro.serve.sharding import shard_owner
 from repro.workloads.paper import figure6_scenario
 from repro.workloads.synthetic import SyntheticConfig, generate_scenario
 
@@ -759,14 +760,11 @@ class TestWorkerIdentity:
         assert response.headers["x-worker-id"] == "1"
 
     def test_hinted_requests_meter_hits_and_misses(self):
-        from repro.serve import ShardRouter
-
-        router = ShardRouter.for_cluster(2)
         owned = next(
-            f"hint-{i}" for i in range(100) if router.route(f"hint-{i}") == 0
+            f"hint-{i}" for i in range(100) if shard_owner(f"hint-{i}", 2) == 0
         )
         foreign = next(
-            f"hint-{i}" for i in range(100) if router.route(f"hint-{i}") == 1
+            f"hint-{i}" for i in range(100) if shard_owner(f"hint-{i}", 2) == 1
         )
 
         async def scenario(gateway):

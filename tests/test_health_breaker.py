@@ -7,10 +7,10 @@ adversarially rather than by example:
   outcome/time stream drives the breaker (in particular CLOSED ->
   HALF_OPEN and OPEN -> CLOSED never occur);
 - HALF_OPEN reaches a verdict (CLOSED or OPEN) within
-  ``PROBES_TO_CLOSE`` outcomes, because ``(1 - ALPHA) ** PROBES_TO_CLOSE``
-  is below ``CLOSE_THRESHOLD``;
-- the hysteresis band keeps adversarial alternating outcome streams from
-  ever flapping the breaker at the default thresholds;
+  ``PROBES_TO_CLOSE`` outcomes: it closes iff every probe succeeds;
+- an open threshold above the alternation supremum keeps adversarial
+  alternating outcome streams from ever flapping the breaker at the
+  defaults;
 - a fixed seed yields a bit-identical transition trace (including the
   jittered cooldown instants), which is what the sim's determinism gate
   and the E21 benchmark digests rely on;
@@ -20,8 +20,10 @@ adversarially rather than by example:
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.errors import ValidationError
 from repro.serve import health
 from repro.serve.health import (
     BreakerState,
@@ -97,12 +99,6 @@ class TestLegalTransitionsOnly:
 
 
 class TestHalfOpenVerdict:
-    def test_probes_to_close_successes_always_clear_the_close_threshold(self):
-        # The EWMA is at most 1; each success scales it by 1 - ALPHA.
-        assert (1.0 - health.ALPHA) ** health.PROBES_TO_CLOSE < (
-            health.CLOSE_THRESHOLD
-        )
-
     @given(
         open_threshold=st.floats(0.4, 0.99),
         outcomes=st.lists(
@@ -167,8 +163,8 @@ class TestHysteresis:
         self, length, start_with_failure
     ):
         # A strictly alternating stream's EWMA supremum at alpha=0.3 is
-        # ~0.588 — strictly inside the (0.35, 0.7) hysteresis band, so
-        # the breaker must never leave CLOSED however long the stream.
+        # ~0.588 — strictly below the 0.7 open threshold, so the breaker
+        # must never leave CLOSED however long the stream.
         trace = []
         breaker = CircuitBreaker("svc", HealthConfig(), trace.append)
         for index in range(length):
@@ -176,6 +172,16 @@ class TestHysteresis:
             breaker.report(success, 0.5 * index)
         assert breaker.state is BreakerState.CLOSED
         assert trace == []
+
+    def test_open_threshold_range_is_floor_exclusive_to_one(self):
+        floor = health.OPEN_THRESHOLD_FLOOR
+        for accepted in (floor + 1e-9, 0.7, 1.0):
+            assert HealthConfig(open_threshold=accepted).open_threshold == (
+                accepted
+            )
+        for refused in (floor, 0.1, 1.0 + 1e-9):
+            with pytest.raises(ValidationError):
+                HealthConfig(open_threshold=refused)
 
     def test_sustained_failures_do_open(self):
         breaker = CircuitBreaker("svc", HealthConfig())

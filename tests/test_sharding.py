@@ -1,30 +1,37 @@
-"""Unit tests for device-class shard hints and the consistent-hash ring.
+"""Unit tests for device-class shard hints and their owners.
 
-The ring is pure arithmetic — no processes, no sockets — so these tests
-pin the properties the cluster leans on: determinism in the worker-id
-set, even-ish spread, bounded movement when the cluster resizes, and a
-hint function that tracks the device profile's cache key exactly.
+Ownership is pure arithmetic — no processes, no sockets — so these tests
+pin the properties the cluster leans on: determinism in the worker
+count, an even spread, a hint function that tracks the device profile's
+cache key exactly, and loadgen's refusal of a /cluster document whose
+worker ids are not the ``0..N-1`` range owners are drawn from.
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ValidationError
 from repro.planner.workload import device_variants
+from repro.serve.loadgen import _worker_ports
 from repro.serve.sharding import (
     SHARD_HINT_HEADER,
     WORKER_ID_HEADER,
-    DEFAULT_REPLICAS,
-    ShardRouter,
     device_shard_hint,
+    shard_owner,
 )
 from repro.workloads.synthetic import SyntheticConfig, generate_scenario
 
 SCENARIO = generate_scenario(
     SyntheticConfig(seed=7, n_services=10, n_formats=6, n_nodes=6)
 )
+
+
+def _loads(workers, hints):
+    return Counter(shard_owner(hint, workers) for hint in hints)
 
 
 class TestDeviceShardHint:
@@ -54,72 +61,34 @@ class TestDeviceShardHint:
 
 
 class TestShardRouter:
+    """Routing a hint to the worker that owns it (:func:`shard_owner`)."""
+
     def test_deterministic_in_the_worker_set(self):
-        a = ShardRouter.for_cluster(4)
-        b = ShardRouter([0, 1, 2, 3])
-        assert a == b
-        hints = [f"hint-{i}" for i in range(100)]
-        assert [a.route(h) for h in hints] == [b.route(h) for h in hints]
+        # Pinned owners: the client and every worker compute these in
+        # separate processes, so the map must not depend on process state.
+        owners = [shard_owner(f"device-{i}", 4) for i in range(12)]
+        assert owners == [0, 0, 3, 3, 2, 1, 1, 3, 2, 0, 3, 1]
 
     def test_routes_within_the_worker_set(self):
-        router = ShardRouter.for_cluster(3)
         for i in range(200):
-            assert router.route(f"hint-{i}") in (0, 1, 2)
+            assert shard_owner(f"hint-{i}", 3) in (0, 1, 2)
 
     def test_spread_is_roughly_even(self):
-        router = ShardRouter.for_cluster(4)
-        hints = [f"device-{i}" for i in range(2000)]
-        counts = router.distribution(hints)
+        counts = _loads(4, [f"device-{i}" for i in range(2000)])
         assert set(counts) == {0, 1, 2, 3}
-        # 64 vnodes keeps worst-case imbalance well under 2x on this
-        # sample size; an uneven ring would fail loudly here.
-        assert min(counts.values()) > 200
-        assert max(counts.values()) < 1000
+        assert min(counts.values()) > 400
+        assert max(counts.values()) < 600
 
-    def test_distribution_includes_idle_workers(self):
-        router = ShardRouter.for_cluster(8)
-        counts = router.distribution(["only-one-hint"])
-        assert set(counts) == set(range(8))
-        assert sum(counts.values()) == 1
-
-    def test_resize_moves_a_minority_of_hints(self):
-        # The consistent-hash property the cluster's restart story needs:
-        # going 4 -> 5 workers must not reshuffle most of the hint space.
-        before = ShardRouter.for_cluster(4)
-        after = ShardRouter.for_cluster(5)
-        hints = [f"device-{i}" for i in range(1000)]
-        moved = sum(
-            1 for hint in hints if before.route(hint) != after.route(hint)
-        )
-        assert moved < 500  # ideal ~1/5; far below a full reshuffle
-
-    def test_wire_round_trip(self):
-        router = ShardRouter.for_cluster(3)
-        assert ShardRouter.from_dict(router.to_dict()) == router
-        assert router.to_dict() == {
-            "worker_ids": [0, 1, 2],
-            "replicas": DEFAULT_REPLICAS,
-        }
-
-    def test_from_dict_rejects_malformed_documents(self):
-        with pytest.raises(ValidationError):
-            ShardRouter.from_dict({"worker_ids": "012"})
-        with pytest.raises(ValidationError):
-            ShardRouter.from_dict({"worker_ids": [0, True]})
-        with pytest.raises(ValidationError):
-            ShardRouter.from_dict({"worker_ids": [0, 1], "replicas": "many"})
-        with pytest.raises(ValidationError):
-            ShardRouter.from_dict({"worker_ids": []})
+    @pytest.mark.parametrize("workers", [2, 3, 4, 8])
+    def test_owner_loads_stay_within_15_percent(self, workers):
+        counts = _loads(workers, [f"device-{i}" for i in range(20_000)])
+        assert set(counts) == set(range(workers))
+        assert max(counts.values()) / min(counts.values()) <= 1.15
 
     def test_rejects_bad_construction(self):
-        with pytest.raises(ValidationError):
-            ShardRouter([])
-        with pytest.raises(ValidationError):
-            ShardRouter([1, 1])
-        with pytest.raises(ValidationError):
-            ShardRouter([0], replicas=0)
-        with pytest.raises(ValidationError):
-            ShardRouter.for_cluster(0)
+        for workers in (0, -1):
+            with pytest.raises(ValidationError):
+                shard_owner("hint", workers)
 
     @given(
         workers=st.integers(min_value=1, max_value=8),
@@ -127,8 +96,37 @@ class TestShardRouter:
     )
     @settings(max_examples=50, deadline=None)
     def test_route_is_total_and_stable(self, workers, hint):
-        router = ShardRouter.for_cluster(workers)
-        owner = router.route(hint)
+        owner = shard_owner(hint, workers)
         assert 0 <= owner < workers
-        assert router.route(hint) == owner
-        assert ShardRouter.for_cluster(workers).route(hint) == owner
+        assert shard_owner(hint, workers) == owner
+
+
+def _worker(worker_id, private_port=9000):
+    return {"worker_id": worker_id, "private_port": private_port}
+
+
+class TestClusterDocument:
+    def test_reads_worker_count_and_private_ports(self):
+        document = {"workers": [_worker(1, 9001), _worker(0, 9000)]}
+        assert _worker_ports(document) == (2, {0: 9000, 1: 9001})
+
+    def test_a_worker_without_a_private_port_still_counts(self):
+        document = {"workers": [_worker(0), _worker(1, None)]}
+        assert _worker_ports(document) == (2, {0: 9000})
+
+    def test_loadgen_rejects_malformed_cluster_documents(self):
+        malformed = [
+            [],                                   # no workers
+            "01",                                 # not a list
+            None,                                 # missing
+            [_worker("0"), _worker(1)],           # string id
+            [_worker(0), _worker(True)],          # bool id
+            [_worker(0), "worker-1"],             # entry not an object
+            [_worker(0), _worker(2)],             # gap in 0..N-1
+            [_worker(1), _worker(2)],             # not counted from 0
+            [_worker(0), _worker(0)],             # duplicate id
+            [_worker(0, None), _worker(1, None)], # no private port at all
+        ]
+        for workers in malformed:
+            with pytest.raises(ValidationError):
+                _worker_ports({"workers": workers})
